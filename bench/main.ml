@@ -749,9 +749,10 @@ type codegen_row = {
     same backbone both engines use — with every dispatched iteration
     executed inline on one worker state, so the timed difference is
     exactly what codegen changes: instruction dispatch inside the
-    iteration body, including the per-instruction node resolution the
-    interpreted worker performs versus the statically collapsed
-    [cg_node] boundaries of the compiled one. Rings, domains, locks
+    iteration body. Both bodies take their node transitions from the
+    same prepared node map ([Precompile.rtarget_nids]): the interpreted
+    worker's [on_node] fires at run-time transitions, the compiled
+    one's [cg_node] at static block-level boundaries. Rings, domains, locks
     and the merge phase are identical in both engines and only dilute
     the ratio, so they are out of the picture; cycle realization is
     off for the same reason
@@ -793,14 +794,13 @@ let bench_codegen_throughput evals : codegen_row list =
             ~header:loop.Commset_analysis.Loops.header
             ~latches:loop.Commset_analysis.Loops.latches
             ~body:loop.Commset_analysis.Loops.body
+            ~nid_of_iid:(fun iid ->
+              match Pdg.node_of_instr pdg iid with Some nid -> nid | None -> -1)
         with
         | Error _ -> None
         | Ok rt ->
             let body_label =
               Printf.sprintf "%s target loop body" (Precompile.rtarget_fname rt)
-            in
-            let nid_of_iid iid =
-              match Pdg.node_of_instr pdg iid with Some nid -> nid | None -> -1
             in
             (* one full sequential pass over the loop; iterations/s *)
             let pass run_body =
@@ -828,18 +828,14 @@ let bench_codegen_throughput evals : codegen_row list =
               pass run_body
             in
             let interp_body wst _machine builtin regs =
-              (* the real engine's worker resolves every instruction to
-                 its PDG node and watches for transitions; replicate
-                 that (minus the lock work both engines share) so the
-                 interpreted side pays what the engine actually pays *)
-              let cur = ref min_int in
-              Precompile.run_iteration wst rt
-                ~on_instr:(fun i ->
-                  let nid = nid_of_iid i.Commset_ir.Ir.iid in
-                  if nid <> !cur then cur := nid)
-                ~builtin regs
+              (* the real engine's worker is called back only at node
+                 transitions; track them (minus the lock work both
+                 engines share) so the interpreted side pays what the
+                 engine actually pays *)
+              let cur = ref (-1) in
+              Precompile.run_iteration wst rt ~on_node:(fun nid -> cur := nid) ~builtin regs
             in
-            let cg = Codegen.prepare ~prepared:c.P.prepared ~rt ~nid_of_iid () in
+            let cg = Codegen.prepare ~prepared:c.P.prepared ~rt () in
             let interp_thr, cg_thr, engine_ran, fallback, cache_hit, compile_s =
               match cg with
               | Error why ->

@@ -4,12 +4,14 @@ output against ci/stat-schema.json (stdlib only — the same small schema
 interpreter as check_suggest.py: type / required / properties / items /
 enum, with ["X", "null"] unions), then assert the attribution invariants:
 no output mismatch, every attributed plan's per-cause components sum to
-its iteration wall within the conservation bound, and the six causes are
-all present exactly once.
+its iteration wall within the conservation bound, the six causes are
+all present exactly once, and its compute inflation is a finite
+positive number.
 
 Usage: check_stat.py <schema.json> <output.json> [<max-conservation-error>]
 """
 import json
+import math
 import sys
 
 TYPES = {
@@ -85,6 +87,9 @@ def main():
             if p["engine"] in ("real", "codegen"):
                 sys.exit("%s: engine %s ran without attribution" % (tag, p["engine"]))
             continue
+        ci = p["compute_inflation"]
+        if ci is None or not (math.isfinite(ci) and ci > 0):
+            sys.exit("%s: compute inflation %r is not a finite positive number" % (tag, ci))
         names = [c["cause"] for c in a["causes"]]
         if sorted(names) != sorted(CAUSES):
             sys.exit("%s: causes %s != expected %s" % (tag, names, CAUSES))
@@ -111,8 +116,8 @@ def main():
             sys.exit("%s: coordinator utilization %r out of [0,1]" % (tag, u))
         print(
             "%s: attribution ok — %d iter(s), conservation %.2f%%, "
-            "coordinator %.0f%% busy"
-            % (tag, a["iterations"], 100 * a["conservation_error"], 100 * u)
+            "coordinator %.0f%% busy, compute inflation %.2f"
+            % (tag, a["iterations"], 100 * a["conservation_error"], 100 * u, ci)
         )
 
 

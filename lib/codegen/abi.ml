@@ -27,9 +27,11 @@ type ctx = {
   cg_gdefined : bool array;  (** executor-shared defined flags *)
   cg_node : int -> unit;
       (** node transition: called with the PDG node id of the next
-          instruction group ([-1] = no node). Implements commset lock
+          instruction group ([-1] = no node) at the start of every
+          target block and wherever the node changes inside one, so it
+          may repeat the current node. Implements commset lock
           acquire/release and frontier awaits, exactly like the
-          interpreted path's [on_instr]. *)
+          interpreted path's [on_node]. *)
   cg_builtin : Builtins.t -> Value.t list -> has_dst:bool -> Value.t * float;
       (** every builtin call, at any nesting depth *)
   cg_charge : steps:int -> cost:float -> unit;

@@ -10,10 +10,10 @@ type compiled = {
   cg_ml_path : string option;
 }
 
-let source ~prepared ~rt ~nid_of_iid () = Emit.emit ~prepared ~rt ~nid_of_iid ()
+let source ~prepared ~rt () = Emit.emit ~prepared ~rt ()
 
-let prepare ~prepared ~rt ~nid_of_iid () : (compiled, string) result =
-  match Emit.emit ~prepared ~rt ~nid_of_iid () with
+let prepare ~prepared ~rt () : (compiled, string) result =
+  match Emit.emit ~prepared ~rt () with
   | Error _ as e -> e
   | Ok src -> (
       match Build.load ~source:src with

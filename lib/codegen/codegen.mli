@@ -19,15 +19,12 @@ type compiled = {
 }
 
 (** Generated module source for the target body, with {!Emit.key_marker}
-    in place of the final key. [nid_of_iid] is the static
-    instruction→PDG-node map ([-1] = no node) the worker's node
-    transitions are compiled from. [Error reason] = uncompilable shape. *)
+    in place of the final key. The worker's node transitions are
+    compiled from the target's node map
+    ({!Commset_runtime.Precompile.rtarget_nids}). [Error reason] =
+    uncompilable shape. *)
 val source :
-  prepared:Precompile.t ->
-  rt:Precompile.rtarget ->
-  nid_of_iid:(int -> int) ->
-  unit ->
-  (string, string) result
+  prepared:Precompile.t -> rt:Precompile.rtarget -> unit -> (string, string) result
 
 (** Translate, compile (or hit the cache) and load. [Error reason] is a
     fallback taxonomy string: ["uncompilable body: ..."], ["toolchain
@@ -35,11 +32,7 @@ val source :
     the caller degrades to the interpreted real engine and surfaces the
     reason. *)
 val prepare :
-  prepared:Precompile.t ->
-  rt:Precompile.rtarget ->
-  nid_of_iid:(int -> int) ->
-  unit ->
-  (compiled, string) result
+  prepared:Precompile.t -> rt:Precompile.rtarget -> unit -> (compiled, string) result
 
 (** {2 Cache introspection (tests, CI artifacts)} *)
 

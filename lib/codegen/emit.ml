@@ -1,9 +1,10 @@
 (** miniC iteration-body → OCaml source translation.
 
     Input is {!Commset_runtime.Precompile}'s typed view of the target
-    function (the exact region [run_iteration] spans) plus a static
-    instruction→PDG-node map. Output is the source of a self-contained
-    module whose [iter : Abi.ctx -> Value.t array -> unit] replays one
+    function (the exact region [run_iteration] spans) plus the static
+    node map the target carries ([Precompile.rtarget_nids]). Output is
+    the source of a self-contained module whose
+    [iter : Abi.ctx -> Value.t array -> unit] replays one
     iteration with the reference semantics:
 
     - in-loop blocks become mutually tail-recursive [unit] functions
@@ -19,8 +20,8 @@
       straight-line segment and flushed through [ctx.cg_charge] before
       every node transition, builtin call and iteration exit;
     - node transitions ([ctx.cg_node]) are emitted once per maximal run
-      of same-node instructions — the per-instruction [on_instr] of the
-      interpreted path collapses to its static boundaries;
+      of same-node instructions within a block, read from the same node
+      map [run_iteration]'s [on_node] transitions come from;
     - operator/trap semantics mirror [prep_binop]/[prep_unop]/
       [prep_instr] case by case, including error message text and
       constant-branch traps.
@@ -341,11 +342,11 @@ let simple_stmt env (i : Ir.instr) : string =
         (ov pools v)
   | Ir.Call _ -> assert false
 
-(* Emit a block's instruction sequence. [node_of] present = target
-   depth (node boundaries emitted); absent = nested depth. Straight
-   runs of non-call instructions charge their summed static cost once,
-   then step+execute per instruction. *)
-let emit_instrs env ~ind ~(node_of : (int -> int) option) (vb : Precompile.view_block) =
+(* Emit a block's instruction sequence. [nids] (the block's row of the
+   node map) present = target depth (node boundaries emitted); absent =
+   nested depth. Straight runs of non-call instructions charge their
+   summed static cost once, then step+execute per instruction. *)
+let emit_instrs env ~ind ~(nids : int array option) (vb : Precompile.view_block) =
   let instrs = vb.Precompile.vb_instrs and costs = vb.Precompile.vb_costs in
   let pending = ref [] (* (instr, cost) reversed *) in
   let flush_pending () =
@@ -382,9 +383,9 @@ let emit_instrs env ~ind ~(node_of : (int -> int) option) (vb : Precompile.view_
   let prev_nid = ref min_int in
   Array.iteri
     (fun k (i : Ir.instr) ->
-      (match node_of with
-      | Some nid_of ->
-          let nid = nid_of i.Ir.iid in
+      (match nids with
+      | Some nids ->
+          let nid = nids.(k) in
           if nid <> !prev_nid then begin
             flush_pending ();
             line env "%sflush (); ctx.A.cg_node (%d);" ind nid;
@@ -454,10 +455,11 @@ let emit_nested_term env ~ind (c : callee) (vb : Precompile.view_block) =
 
 (** Translate; returns the module source with {!key_marker} in place of
     the content key, or [Error reason] for an unsupported shape. *)
-let emit ~(prepared : Precompile.t) ~(rt : Precompile.rtarget)
-    ~(nid_of_iid : int -> int) () : (string, string) result =
+let emit ~(prepared : Precompile.t) ~(rt : Precompile.rtarget) () :
+    (string, string) result =
   try
     let view = Precompile.rtarget_view rt in
+    let node_map = Precompile.rtarget_nids rt in
     let header = Precompile.rtarget_header rt in
     let body_entry = Precompile.rtarget_body_entry rt in
     let in_loop = Precompile.rtarget_in_loop rt in
@@ -487,7 +489,7 @@ let emit ~(prepared : Precompile.t) ~(rt : Precompile.rtarget)
           line env "  %s tb%d () : unit =" (if !first then "let rec" else "and") bi;
           first := false;
           line env "    %s" step_stmt;
-          emit_instrs env ~ind:"    " ~node_of:(Some nid_of_iid) vb;
+          emit_instrs env ~ind:"    " ~nids:(Some node_map.(bi)) vb;
           emit_target_term env ~ind:"    " ~header ~in_loop vb
         end)
       blocks;
@@ -514,7 +516,7 @@ let emit ~(prepared : Precompile.t) ~(rt : Precompile.rtarget)
                 (fun bi vb ->
                   line env "  and %sb%d (regs : V.t array) : V.t =" c.cl_fn bi;
                   line env "    %s" step_stmt;
-                  emit_instrs env ~ind:"    " ~node_of:None vb;
+                  emit_instrs env ~ind:"    " ~nids:None vb;
                   emit_nested_term env ~ind:"    " c vb)
                 v.Precompile.vf_blocks)
             names;

@@ -66,6 +66,7 @@ type stats = {
   x_codegen_cache_hit : bool;
   x_codegen_compile_s : float;
   x_attrib : Commset_obs.Attrib.summary option;
+  x_compute_inflation : float option;
 }
 
 let supported (plan : Plan.t) =
@@ -89,7 +90,7 @@ let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
     actually prints today). With [~timed:true] the run also burns its
     charged cycles at the executor's scale, making its wall time the
     like-for-like baseline for the real engine's parallel leg. *)
-let seq_reference ~timed ~(prepared : R.Precompile.t) ~setup : string list * float =
+let seq_reference ~timed ~(prepared : R.Precompile.t) ~setup : string list * float * float =
   Recorder.with_span ~cat:"exec" "exec.seq_reference" @@ fun () ->
   let machine = R.Machine.create () in
   setup machine;
@@ -97,7 +98,21 @@ let seq_reference ~timed ~(prepared : R.Precompile.t) ~setup : string list * flo
   let total = R.Precompile.run_main (R.Precompile.executor ~machine prepared) in
   if timed && Costmodel.exec_ns_per_cycle () > 0. then Burn.burn (Burn.create ()) total;
   let wall = (Clock.now_ns () -. t0) /. 1e9 in
-  (R.Machine.outputs machine, wall)
+  (R.Machine.outputs machine, wall, total)
+
+(** Worker ns per charged cycle over sequential ns per charged cycle.
+    Worker ns is iteration wall net of lock and frontier waits (the
+    compute and builtin causes): time spent executing, which the
+    sequential leg spends too. [None] without attribution or cycles. *)
+let compute_inflation ~wall_seq_s ~seq_cycles (a : Commset_obs.Attrib.summary option) =
+  match a with
+  | Some a when a.Commset_obs.Attrib.a_charged_cycles > 0. && seq_cycles > 0. && wall_seq_s > 0.
+    ->
+      let worker_ns = a.Commset_obs.Attrib.a_compute_ns +. a.Commset_obs.Attrib.a_builtin_ns in
+      Some
+        (worker_ns /. a.Commset_obs.Attrib.a_charged_cycles
+        /. (wall_seq_s *. 1e9 /. seq_cycles))
+  | _ -> None
 
 (** The burn engine's measured baseline: the whole program's charged
     cycles burned on one domain with no synchronization — the same work
@@ -223,7 +238,7 @@ let run ?(engine = Real_engine) ?jobs ?(attrib = true) ~(plan : Plan.t) ~(pdg : 
   Recorder.with_span ~cat:"exec" "exec.run" @@ fun () ->
   Metrics.incr m_runs;
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
-  let reference, seq_timed_wall =
+  let reference, seq_timed_wall, seq_cycles =
     seq_reference ~timed:(engine <> Burn_engine) ~prepared ~setup
   in
   (* both are sequential runs of the same deterministic program; a
@@ -284,6 +299,8 @@ let run ?(engine = Real_engine) ?jobs ?(attrib = true) ~(plan : Plan.t) ~(pdg : 
           x_codegen_cache_hit = r.Realexec.r_codegen_cache_hit;
           x_codegen_compile_s = r.Realexec.r_codegen_compile_s;
           x_attrib = r.Realexec.r_attrib;
+          x_compute_inflation =
+            compute_inflation ~wall_seq_s ~seq_cycles r.Realexec.r_attrib;
         }
     | None ->
         let actual, wall_seq_s, wall_par_s, contended, full, empty =
@@ -315,6 +332,7 @@ let run ?(engine = Real_engine) ?jobs ?(attrib = true) ~(plan : Plan.t) ~(pdg : 
           x_codegen_cache_hit = false;
           x_codegen_compile_s = 0.;
           x_attrib = None;
+          x_compute_inflation = None;
         }
   in
   Metrics.add m_contended stats.x_lock_contended;

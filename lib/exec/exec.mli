@@ -95,6 +95,14 @@ type stats = {
           iteration wall time and coordinator utilization
           ({!Commset_obs.Attrib}); [None] for the burn engine or with
           [~attrib:false] *)
+  x_compute_inflation : float option;
+      (** real/codegen engines with attribution: worker ns per charged
+          cycle over the sequential leg's ns per charged cycle. Worker ns
+          is iteration wall net of lock and frontier waits (the
+          [compute] and [builtin] causes), so 1.0 means a worker executes
+          a cycle of program work as fast as the sequential run; above
+          1.0 is interpretation or memory overhead specific to workers.
+          [None] when [x_attrib] is *)
 }
 
 (** Can this plan run on the real backend? [Error reason] for TM and

@@ -88,11 +88,6 @@ exception Aborted
    are not. *)
 let always_ordered = [ "rng_int"; "rng_range"; "rng_float"; "rng_gauss"; "rng_reseed"; "db_read"; "pkt_dequeue" ]
 
-(* Bitmap ops are ordered only on shared handles; a handle allocated in
-   the current iteration is private to its worker and runs lock-free. *)
-let is_ordered_builtin name =
-  List.mem name always_ordered || name = "bm_get" || name = "bm_set"
-
 (* Machine-mutating builtins that declare no abstract resource (their
    effects are annotation-invisible by design) but mutate shared
    hashtables; they must still be serialized at the machine level. *)
@@ -100,18 +95,50 @@ let mutexed_by_name name = name = "graph_set_neighbor" || name = "graph_set_weig
 
 (* Simulated cost charged for a buffered call (the impl runs later, on
    the coordinator, where its cost is not charged to any worker). *)
-let buffered_cost name argv =
+let buffered_cost name : Value.t list -> float =
   match name with
-  | "stat_add" -> 16.
-  | "stat_note_max" -> 14.
-  | "hist_add" -> Costmodel.hist_cost
-  | "vec_push" -> Costmodel.collection_op_cost
+  | "stat_add" -> fun _ -> 16.
+  | "stat_note_max" -> fun _ -> 14.
+  | "hist_add" -> fun _ -> Costmodel.hist_cost
+  | "vec_push" -> fun _ -> Costmodel.collection_op_cost
   | "log_write" ->
-      let len =
-        match argv with Value.Vstring s :: _ -> String.length s | _ -> 0
-      in
-      Costmodel.log_write_base +. (Costmodel.per_byte *. float_of_int len)
-  | _ -> 10.
+      fun argv ->
+        let len = match argv with Value.Vstring s :: _ -> String.length s | _ -> 0 in
+        Costmodel.log_write_base +. (Costmodel.per_byte *. float_of_int len)
+  | _ -> fun _ -> 10.
+
+type bitmap_op = Bm_get | Bm_set
+type alloc_effect = No_alloc | Bm_new | Bm_free
+
+type policy =
+  | Plain
+  | Buffered of (Value.t list -> float)
+  | Bitmap of bitmap_op
+  | Ordered
+  | Mutexed of alloc_effect
+
+(* First match wins: a bufferable writer is buffered whatever else it
+   is; bitmap get/set are private-or-ordered; then always-ordered;
+   anything touching a shared resource (or a name-mutexed hashtable)
+   runs under the machine mutex. *)
+let policy_of ~buffered (bi : Builtins.t) =
+  let name = bi.Builtins.name in
+  if Hashtbl.mem buffered name then Buffered (buffered_cost name)
+  else
+    match name with
+    | "bm_get" -> Bitmap Bm_get
+    | "bm_set" -> Bitmap Bm_set
+    | _ when List.mem name always_ordered -> Ordered
+    | _ when Builtins.resources bi <> [] || mutexed_by_name name ->
+        Mutexed (match name with "bm_new" -> Bm_new | "bm_free" -> Bm_free | _ -> No_alloc)
+    | _ -> Plain
+
+let policies ~buffered = Array.of_list (List.map (policy_of ~buffered) Builtins.all)
+
+(* Calls that are iteration-ordered events: unconditionally, or (bitmap
+   ops) on handles the iteration did not allocate — the trace cannot
+   tell those apart, and [analyse] counts both. *)
+let is_ordered = function Ordered | Bitmap _ -> true | Plain | Buffered _ | Mutexed _ -> false
 
 (* Merge per-worker buffers (each newest-first) into replay order. The
    stable sort keeps each worker's chronological order among equal keys,
@@ -140,7 +167,7 @@ let shared_mem_loc = function
   | Effects.Lext _ -> false
 
 let analyse ~(plan : Plan.t) ~(pdg : Pdg.t) ~(trace : Trace.t)
-    ~(emitted : Emit.t) ~(rt : Precompile.rtarget) : ordering =
+    ~(emitted : Emit.t) ~(rt : Precompile.rtarget) ~(policy : policy array) : ordering =
   let nnodes = Array.length pdg.Pdg.nodes in
   let ordered = Array.make nnodes false in
   let mark (e : Pdg.edge) =
@@ -205,7 +232,8 @@ let analyse ~(plan : Plan.t) ~(pdg : Pdg.t) ~(trace : Trace.t)
           List.iter
             (fun atom ->
               match atom with
-              | Trace.Abuiltin { bname; _ } when is_ordered_builtin bname ->
+              | Trace.Abuiltin { bname; _ }
+                when is_ordered policy.((Builtins.find_exn bname).Builtins.id) ->
                   expected.(k) <- expected.(k) + 1;
                   if nid < nnodes then node_ob.(nid) <- true
               | _ -> ())
@@ -255,6 +283,8 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
     Precompile.plan_real prepared ~fname:pdg.Pdg.func.Ir.fname
       ~header:loop.Commset_analysis.Loops.header
       ~latches:loop.Commset_analysis.Loops.latches ~body:loop.Commset_analysis.Loops.body
+      ~nid_of_iid:(fun iid ->
+        match Pdg.node_of_instr pdg iid with Some nid -> nid | None -> -1)
   with
   | Error why -> Error why
   | Ok rt ->
@@ -263,10 +293,7 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
       let cg, cg_fallback =
         if not codegen then (None, None)
         else
-          let nid_of_iid iid =
-            match Pdg.node_of_instr pdg iid with Some nid -> nid | None -> -1
-          in
-          match Commset_codegen.Codegen.prepare ~prepared ~rt ~nid_of_iid () with
+          match Commset_codegen.Codegen.prepare ~prepared ~rt () with
           | Ok c ->
               Log.debug (fun m ->
                   m "plan '%s': codegen %s (key %s, %.3fs compile)" plan.Plan.label
@@ -281,11 +308,14 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
                     why);
               (None, Some why)
       in
-      let ord = analyse ~plan ~pdg ~trace ~emitted ~rt in
       let program = Precompile.program prepared in
       let buffered =
         Effects.bufferable_updates program pdg.Pdg.func loop.Commset_analysis.Loops.body
       in
+      (* every builtin's execution policy, resolved once for this loop:
+         the per-call path is one array load and a match *)
+      let policy = policies ~buffered in
+      let ord = analyse ~plan ~pdg ~trace ~emitted ~rt ~policy in
       let w = max 1 jobs in
       let n = Trace.n_iterations trace in
       Log.debug (fun m ->
@@ -324,7 +354,7 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
       in
       (* per-worker mutable state, read by the coordinator after join *)
       let obufs = Array.init w (fun _ -> ref []) in
-      let ubufs : (int * (string * Value.t list)) list ref array =
+      let ubufs : (int * (Builtins.t * Value.t list)) list ref array =
         Array.init w (fun _ -> ref [])
       in
       let errors : exn option ref array = Array.init w (fun _ -> ref None) in
@@ -363,7 +393,16 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
         let priv_bm : (int, Bytes.t) Hashtbl.t = Hashtbl.create 8 in
         let cur_k = ref 0 in
         let cur_nid = ref (-1) in
-        let held : int list ref = ref [] in
+        (* locks held: the first [n_held] of [held], a node's lock row *)
+        let held = ref [||] and n_held = ref 0 in
+        let release_held () =
+          (* reverse acquisition order *)
+          let a = !held in
+          for i = !n_held - 1 downto 0 do
+            Locks.release locks (Array.unsafe_get a i)
+          done;
+          n_held := 0
+        in
         let ev = ref 0 in
         let await () =
           if Atomic.get frontier < !cur_k then begin
@@ -383,111 +422,108 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
             if !cur_k < n && !ev >= ord.o_expected.(!cur_k) then release_iter !cur_k
           end
         in
+        (* node entry and exit allocate nothing: a transition can fire
+           every few instructions *)
         let exit_node () =
-          (match !cur_nid with
-          | -1 -> ()
-          | nid ->
-              (* release in reverse acquisition order *)
-              List.iter (fun li -> Locks.release locks li) !held;
-              held := [];
-              if ord.o_ordered.(nid) then bump ());
-          cur_nid := -1
+          let nid = !cur_nid in
+          if nid >= 0 then begin
+            release_held ();
+            if ord.o_ordered.(nid) then bump ();
+            cur_nid := -1
+          end
         in
         let enter_node nid =
           if ord.o_entry_await.(nid) then await ();
-          Array.iter
-            (fun li ->
-              if prof then begin
-                let t0 = Clock.now_ns () in
-                Locks.acquire locks li;
-                Attrib.add_lock aw li (Clock.now_ns () -. t0)
-              end
-              else Locks.acquire locks li;
-              held := li :: !held)
-            ord.o_node_locks.(nid);
+          let a = ord.o_node_locks.(nid) in
+          held := a;
+          for i = 0 to Array.length a - 1 do
+            let li = Array.unsafe_get a i in
+            if prof then begin
+              let t0 = Clock.now_ns () in
+              Locks.acquire locks li;
+              Attrib.add_lock aw li (Clock.now_ns () -. t0)
+            end
+            else Locks.acquire locks li;
+            n_held := i + 1
+          done;
           cur_nid := nid
         in
-        let on_instr (i : Ir.instr) =
-          burn_to ();
-          match Pdg.node_of_instr pdg i.Ir.iid with
-          | Some nid when nid <> !cur_nid ->
-              exit_node ();
-              enter_node nid
-          | Some _ -> ()
-          | None -> exit_node ()
+        (* one node transition; [on_node] is the interpreted body's
+           transition hook, [cg_node] the compiled one's, which may
+           repeat the current node at block starts *)
+        let transition nid =
+          exit_node ();
+          if nid >= 0 then enter_node nid
         in
-        let with_mutex f =
-          let on_contend () = wcontended.(wi) <- wcontended.(wi) + 1 in
-          (if prof then begin
-             let t0 = Clock.now_ns () in
-             Spin.acquire ~on_contend machine_lock;
-             Attrib.add_lock aw machine_li (Clock.now_ns () -. t0)
-           end
-           else Spin.acquire ~on_contend machine_lock);
-          Fun.protect ~finally:(fun () -> Spin.release machine_lock) f
+        let on_node nid =
+          burn_to ();
+          transition nid
+        in
+        let on_contend () = wcontended.(wi) <- wcontended.(wi) + 1 in
+        (* a builtin call under the machine mutex, tracking the bitmap
+           handles this iteration allocates (their payload is private) *)
+        let mutexed (bi : Builtins.t) argv alloc =
+          if prof then begin
+            let t0 = Clock.now_ns () in
+            Spin.acquire ~on_contend machine_lock;
+            Attrib.add_lock aw machine_li (Clock.now_ns () -. t0)
+          end
+          else Spin.acquire ~on_contend machine_lock;
+          match bi.Builtins.impl machine argv with
+          | (v, _) as r ->
+              (match (alloc, v, argv) with
+              | Bm_new, Value.Vint id, _ -> (
+                  match Hashtbl.find_opt machine.Machine.bitmaps id with
+                  | Some bytes -> Hashtbl.replace priv_bm id bytes
+                  | None -> ())
+              | Bm_free, _, Value.Vint id :: _ -> Hashtbl.remove priv_bm id
+              | _ -> ());
+              Spin.release machine_lock;
+              r
+          | exception e ->
+              Spin.release machine_lock;
+              raise e
         in
         let bm_arg argv = match argv with Value.Vint h :: rest -> (h, rest) | _ -> (-1, []) in
-        let builtin_raw (bi : Builtins.t) argv ~has_dst =
-          let name = bi.Builtins.name in
-          if Hashtbl.mem buffered name then begin
-            ignore has_dst;
-            ubufs.(wi) := (!cur_k, (name, argv)) :: !(ubufs.(wi));
-            wbuffered.(wi) <- wbuffered.(wi) + 1;
-            (Value.Vint 0, buffered_cost name argv)
-          end
-          else if name = "bm_set" || name = "bm_get" then begin
-            let h, rest = bm_arg argv in
-            match Hashtbl.find_opt priv_bm h with
-            | Some bytes ->
-                (* this worker allocated the handle this iteration: the
-                   payload is private, no lock and no ordering needed *)
-                let key = match rest with Value.Vint k :: _ -> k | _ -> -1 in
-                let byte = key / 8 and bit = key mod 8 in
-                if name = "bm_set" then begin
-                  if byte < 0 || byte >= Bytes.length bytes then
-                    Diag.error "runtime: bitmap key %d out of range" key;
-                  Bytes.set bytes byte
-                    (Char.chr (Char.code (Bytes.get bytes byte) lor (1 lsl bit)));
-                  (Value.Vint 0, Costmodel.collection_op_cost)
-                end
-                else if byte < 0 || byte >= Bytes.length bytes then (Value.Vbool false, 8.)
-                else
-                  (Value.Vbool (Char.code (Bytes.get bytes byte) land (1 lsl bit) <> 0), 8.)
-            | None ->
-                burn_to ();
-                await ();
-                let r = with_mutex (fun () -> bi.Builtins.impl machine argv) in
-                bump ();
-                r
-          end
-          else if List.mem name always_ordered then begin
-            burn_to ();
-            await ();
-            let r = with_mutex (fun () -> bi.Builtins.impl machine argv) in
-            bump ();
-            r
-          end
-          else if Builtins.resources bi <> [] || mutexed_by_name name then
-            with_mutex (fun () ->
-                let ((v, _) as r) = bi.Builtins.impl machine argv in
-                (match name with
-                | "bm_new" -> (
-                    match v with
-                    | Value.Vint id -> (
-                        match Hashtbl.find_opt machine.Machine.bitmaps id with
-                        | Some bytes -> Hashtbl.replace priv_bm id bytes
-                        | None -> ())
-                    | _ -> ())
-                | "bm_free" -> (
-                    match argv with
-                    | Value.Vint id :: _ -> Hashtbl.remove priv_bm id
-                    | _ -> ())
-                | _ -> ());
-                r)
-          else bi.Builtins.impl machine argv
+        let ordered_call (bi : Builtins.t) argv =
+          burn_to ();
+          await ();
+          let r = mutexed bi argv No_alloc in
+          bump ();
+          r
         in
-        let builtin (bi : Builtins.t) argv ~has_dst =
-          if not prof then builtin_raw bi argv ~has_dst
+        let builtin_raw (bi : Builtins.t) argv =
+          match policy.(bi.Builtins.id) with
+          | Plain -> bi.Builtins.impl machine argv
+          | Buffered cost ->
+              ubufs.(wi) := (!cur_k, (bi, argv)) :: !(ubufs.(wi));
+              wbuffered.(wi) <- wbuffered.(wi) + 1;
+              (Value.Vint 0, cost argv)
+          | Bitmap op -> (
+              let h, rest = bm_arg argv in
+              match Hashtbl.find_opt priv_bm h with
+              | Some bytes -> (
+                  (* this worker allocated the handle this iteration: the
+                     payload is private, no lock and no ordering needed *)
+                  let key = match rest with Value.Vint k :: _ -> k | _ -> -1 in
+                  let byte = key / 8 and bit = key mod 8 in
+                  match op with
+                  | Bm_set ->
+                      if byte < 0 || byte >= Bytes.length bytes then
+                        Diag.error "runtime: bitmap key %d out of range" key;
+                      Bytes.set bytes byte
+                        (Char.chr (Char.code (Bytes.get bytes byte) lor (1 lsl bit)));
+                      (Value.Vint 0, Costmodel.collection_op_cost)
+                  | Bm_get ->
+                      if byte < 0 || byte >= Bytes.length bytes then (Value.Vbool false, 8.)
+                      else
+                        (Value.Vbool (Char.code (Bytes.get bytes byte) land (1 lsl bit) <> 0), 8.))
+              | None -> ordered_call bi argv)
+          | Ordered -> ordered_call bi argv
+          | Mutexed alloc -> mutexed bi argv alloc
+        in
+        let builtin (bi : Builtins.t) argv ~has_dst:_ =
+          if not prof then builtin_raw bi argv
           else begin
             (* realize pending burn first so it lands in compute, then
                net out waits the builtin performs internally (frontier
@@ -496,9 +532,9 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
             burn_to ();
             let t0 = Clock.now_ns () in
             let w0 = Attrib.inner_waits aw in
-            let ((_, cost) as r) = builtin_raw bi argv ~has_dst in
+            let ((_, cost) as r) = builtin_raw bi argv in
             let dt = Clock.now_ns () -. t0 -. (Attrib.inner_waits aw -. w0) in
-            Attrib.add_builtin aw (Attrib.builtin_slot att bi.Builtins.name) ~ns:dt ~cost;
+            Attrib.add_builtin aw bi.Builtins.id ~ns:dt ~cost;
             r
           end
         in
@@ -516,10 +552,7 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
                     cg_node =
                       (fun nid ->
                         burn_to ();
-                        if nid <> !cur_nid then begin
-                          exit_node ();
-                          if nid >= 0 then enter_node nid
-                        end);
+                        if nid <> !cur_nid then transition nid);
                     cg_builtin = builtin;
                     cg_charge =
                       (fun ~steps ~cost ->
@@ -557,7 +590,7 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
             Hashtbl.reset priv_bm;
             (match cg_ctx with
             | Some (fn, ctx) -> fn ctx regs
-            | None -> Precompile.run_iteration wst rt ~on_instr ~builtin regs);
+            | None -> Precompile.run_iteration wst rt ~on_node ~builtin regs);
             exit_node ();
             burn_to ();
             release_iter k;
@@ -569,8 +602,7 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
         | Aborted -> ()
         | e ->
             (* free everything other domains could block on, then flag *)
-            List.iter (fun li -> Locks.release locks li) !held;
-            held := [];
+            release_held ();
             errors.(wi) := Some e;
             Atomic.set abort true;
             release_iter !cur_k);
@@ -625,10 +657,7 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
               let upds =
                 merge_order ~compare:Int.compare (Array.map ( ! ) ubufs)
               in
-              List.iter
-                (fun (_, (name, argv)) ->
-                  ignore ((Builtins.find_exn name).Builtins.impl machine argv))
-                upds;
+              List.iter (fun (_, ((bi : Builtins.t), argv)) -> ignore (bi.Builtins.impl machine argv)) upds;
               (* worker output lines merge on the shared monotonic clock;
                  frontier-ordered emits carry ordered timestamps *)
               let outs =
@@ -643,7 +672,7 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
       let inline_wst = lazy (Precompile.worker_state ex ~fuel:max_int) in
       let on_iter k regs =
         if !finished then
-          Precompile.run_iteration (Lazy.force inline_wst) rt ~on_instr:ignore
+          Precompile.run_iteration (Lazy.force inline_wst) rt ~on_node:ignore
             ~builtin:(fun bi argv ~has_dst:_ -> bi.Builtins.impl machine argv)
             (Array.copy regs)
         else begin

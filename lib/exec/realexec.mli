@@ -71,6 +71,34 @@ type result = {
           plus coordinator utilization; [None] with [~attrib:false] *)
 }
 
+(** {2 Builtin execution policy}
+
+    How a worker executes each builtin call, resolved once per run from
+    the loop's bufferable update families, the always-ordered list, the
+    name-mutexed list and the builtin's abstract resources. The worker's
+    per-call path is one array load (indexed by [Builtins.t.id]) and a
+    match; the ordering analysis reads the same table. *)
+
+type bitmap_op = Bm_get | Bm_set
+
+(** What a machine-mutexed call does to the worker's set of bitmap
+    handles allocated this iteration (private, lock-free payloads). *)
+type alloc_effect = No_alloc | Bm_new | Bm_free
+
+type policy =
+  | Plain  (** pure or machine-neutral: runs directly, no lock *)
+  | Buffered of (Commset_runtime.Value.t list -> float)
+      (** order-free update: buffered per worker and replayed at merge;
+          the function prices the call (its impl runs later, uncharged) *)
+  | Bitmap of bitmap_op
+      (** lock-free on a handle this iteration allocated, else ordered *)
+  | Ordered  (** iteration-ordered event behind the frontier, mutexed *)
+  | Mutexed of alloc_effect  (** under the machine mutex *)
+
+(** The policy of every builtin, indexed by [Builtins.t.id]. [buffered]
+    is the loop's {!Commset_analysis.Effects.bufferable_updates}. *)
+val policies : buffered:(string, unit) Hashtbl.t -> policy array
+
 (** Merge per-worker buffers (each newest-first, as accumulated) into
     replay order: concatenation of the reversed buffers, stable-sorted
     on the key. Because the sort is stable and — for iteration-keyed

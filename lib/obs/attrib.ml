@@ -49,8 +49,7 @@ type t = {
   a_on : bool;
   jobs : int;
   lock_names : string array;
-  builtin_names : string array;
-  builtin_slots : (string, int) Hashtbl.t;  (** frozen after [create] *)
+  builtin_names : string array;  (** indexed by builtin slot *)
   workers : worker array;
   coord_dispatch : float Atomic.t;
   hists : hists;  (** per-cause per-iteration distributions *)
@@ -89,8 +88,6 @@ let make_worker on hs n_locks n_builtins =
 
 let create ~enabled ~lock_names ~builtin_names ~jobs =
   let n_locks = Array.length lock_names and n_builtins = Array.length builtin_names in
-  let builtin_slots = Hashtbl.create (2 * n_builtins) in
-  Array.iteri (fun i n -> Hashtbl.replace builtin_slots n i) builtin_names;
   let hists =
     {
       h_dispatch = Metrics.hist_make ();
@@ -106,7 +103,6 @@ let create ~enabled ~lock_names ~builtin_names ~jobs =
     jobs;
     lock_names;
     builtin_names;
-    builtin_slots;
     workers = Array.init jobs (fun _ -> make_worker enabled hists n_locks n_builtins);
     coord_dispatch = Atomic.make 0.;
     hists;
@@ -115,7 +111,6 @@ let create ~enabled ~lock_names ~builtin_names ~jobs =
 let enabled t = t.a_on
 let worker t wi = t.workers.(wi)
 let on w = w.w_on
-let builtin_slot t name = match Hashtbl.find_opt t.builtin_slots name with Some i -> i | None -> -1
 let add_dispatch w dt =
   w.t_dispatch <- w.t_dispatch +. dt;
   Metrics.observe w.w_h.h_dispatch dt

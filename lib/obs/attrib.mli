@@ -32,8 +32,9 @@ type worker
 
 (** [create ~enabled ~lock_names ~builtin_names ~jobs] — [lock_names]
     are the per-commset lock labels (index-aligned with the emitter's
-    lock table); [builtin_names] the runtime builtin names used to
-    resolve {!builtin_slot}. *)
+    lock table); [builtin_names] the runtime builtin names, index-aligned
+    with the [slot] of {!add_builtin} (the engine passes the names of
+    [Builtins.all] and each builtin's dense id as its slot). *)
 val create :
   enabled:bool -> lock_names:string array -> builtin_names:string array -> jobs:int -> t
 
@@ -46,9 +47,6 @@ val worker : t -> int -> worker
 (** Whether this worker's accumulators are live (same as the [enabled]
     flag of the owning {!t}; cheap enough to check per event). *)
 val on : worker -> bool
-
-(** Slot of a builtin name for {!add_builtin}; [-1] when unknown. *)
-val builtin_slot : t -> string -> int
 
 (** {2 Worker-side accumulation (all durations in monotonic-clock ns)} *)
 
@@ -70,7 +68,8 @@ val inner_waits : worker -> float
 
 (** [add_builtin w slot ~ns ~cost] — one builtin call: [ns] net wall
     time (inner waits already subtracted), [cost] its charged cost in
-    simulated cycles. [slot = -1] is counted under ["?"]. *)
+    simulated cycles. [slot] indexes [builtin_names]; [slot = -1] is
+    counted under ["?"]. *)
 val add_builtin : worker -> int -> ns:float -> cost:float -> unit
 
 (** One compiled-code charge flush through the codegen ABI

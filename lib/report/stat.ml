@@ -115,7 +115,8 @@ let render_text ~workload ~engine ~jobs ~cores ?calib (runs : P.exec_run list) =
         else ""));
   add
     (tbl
-       ~header:[ "plan"; "engine"; "predicted"; "measured"; "fidelity"; "iters"; "par ms" ]
+       ~header:
+         [ "plan"; "engine"; "predicted"; "measured"; "fidelity"; "iters"; "par ms"; "inflation" ]
        (List.map
           (fun (r : P.exec_run) ->
             [
@@ -126,6 +127,7 @@ let render_text ~workload ~engine ~jobs ~cores ?calib (runs : P.exec_run list) =
               fidelity_name r.P.xfidelity;
               string_of_int r.P.xstats.X.x_iterations;
               Printf.sprintf "%.3f" (r.P.xstats.X.x_wall_par_s *. 1e3);
+              (match r.P.xstats.X.x_compute_inflation with Some v -> f2 v | None -> "-");
             ])
           runs));
   List.iter
@@ -238,6 +240,8 @@ let plan_json (r : P.exec_run) =
       ("frontier_waits", string_of_int x.X.x_frontier_waits);
       ("buffered_updates", string_of_int x.X.x_buffered_updates);
       ("merge_s", num x.X.x_merge_s);
+      ( "compute_inflation",
+        match x.X.x_compute_inflation with Some v -> num v | None -> "null" );
       ("codegen_cache_hit", bool x.X.x_codegen_cache_hit);
       ("codegen_compile_s", num x.X.x_codegen_compile_s);
       ( "attribution",

@@ -7,7 +7,7 @@
     ({!Commset_pipeline.Pipeline.exec_run}, whose [xstats.x_attrib]
     carries the attribution summary when the engine produced one) plus
     run context — and surface, per plan: the predicted-vs-measured
-    fidelity row, the per-cause time breakdown with p50/p95/p99
+    fidelity row with the worker compute inflation, the per-cause time breakdown with p50/p95/p99
     per-iteration quantiles, the per-commset lock-contention table, the
     builtin time table, and coordinator backbone utilization. *)
 

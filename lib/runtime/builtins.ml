@@ -29,6 +29,7 @@ open Commset_support
 type impl = Machine.t -> Value.t list -> Value.t * float
 
 type t = {
+  id : int;  (** dense: position in {!all} *)
   name : string;
   params : Ast.ty list;
   ret : Ast.ty;
@@ -65,7 +66,7 @@ let b ?(thread_safe = false) ?(tm_safe = true) ?(spec = pure_spec) name params r
     let s = Costmodel.builtin_cost_scale name in
     if s = 1.0 then (v, cost) else (v, cost *. s)
   in
-  { name; params; ret; spec; thread_safe; tm_safe; impl }
+  { id = -1; name; params; ret; spec; thread_safe; tm_safe; impl }
 
 let int_v n = Value.Vint n
 let float_v f = Value.Vfloat f
@@ -82,7 +83,7 @@ open Ast
 
 let alloc_cost n = Costmodel.alloc_base +. (Costmodel.alloc_per_slot *. float_of_int n)
 
-let all : t list =
+let registry : t list =
   [
     (* ---- pure conversions and string ops ---- *)
     b "int_to_string" [ Tint ] Tstring (fun _ a -> (string_v (string_of_int (iarg 0 a)), 12.));
@@ -407,6 +408,8 @@ let all : t list =
         (aarg 0 a).(iarg 1 a) <- float_v (farg 2 a);
         (int_v 0, 3.));
   ]
+
+let all : t list = List.mapi (fun id bi -> { bi with id }) registry
 
 let table : (string, t) Hashtbl.t =
   let tbl = Hashtbl.create 64 in

@@ -11,6 +11,9 @@ module Tc = Commset_lang.Typecheck
 type impl = Machine.t -> Value.t list -> Value.t * float
 
 type t = {
+  id : int;
+      (** dense index: the builtin's position in {!all}, so per-run
+          tables indexed by [id] replace name lookups on hot paths *)
   name : string;
   params : Ast.ty list;
   ret : Ast.ty;

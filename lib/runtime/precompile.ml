@@ -101,7 +101,7 @@ and pterm =
 and pblock = {
   pb_label : Ir.label;
   pb_instrs : pinstr array;
-  pb_irs : Ir.instr array;  (** parallel to [pb_instrs], for [on_instr] *)
+  pb_irs : Ir.instr array;  (** parallel to [pb_instrs], for hooks and views *)
   pb_costs : float array;  (** parallel static {!Costmodel.instr_cost}s *)
   pb_term : pterm;
   pb_region : (Ir.region * (string * opf array) list) option;
@@ -693,9 +693,13 @@ type rtarget = {
       (** latch blocks the coordinator executes after dispatch, with a
           per-instruction backbone mask *)
   rt_backbone : int list;  (** iids the coordinator executes inside the loop *)
+  rt_nids : int array array;
+      (** per block index of [rt_pf], per instruction: PDG node id, [-1]
+          = none *)
 }
 
 let rtarget_backbone rt = rt.rt_backbone
+let rtarget_nids rt = rt.rt_nids
 let rtarget_nregs rt = rt.rt_pf.pf_nregs
 let rtarget_fname rt = rt.rt_fname
 
@@ -720,7 +724,8 @@ let instr_uses (i : Ir.instr) : int list =
   | Ir.Call { args; _ } -> List.fold_left op [] args
 
 let plan_real (p : t) ~(fname : string) ~(header : Ir.label)
-    ~(latches : Ir.label list) ~(body : Ir.label list) : (rtarget, string) result =
+    ~(latches : Ir.label list) ~(body : Ir.label list) ~(nid_of_iid : int -> int) :
+    (rtarget, string) result =
   let ( let* ) r f = Result.bind r f in
   let* pf =
     match Hashtbl.find_opt p.p_funcs fname with
@@ -885,6 +890,10 @@ let plan_real (p : t) ~(fname : string) ~(header : Ir.label)
       rt_in_loop = in_loop;
       rt_spine = spine;
       rt_backbone = Hashtbl.fold (fun iid () acc -> iid :: acc) backbone [];
+      rt_nids =
+        Array.map
+          (fun (b : pblock) -> Array.map (fun (i : Ir.instr) -> nid_of_iid i.Ir.iid) b.pb_irs)
+          pf.pf_blocks;
     }
 
 (* ---- typed iteration-body IR view (codegen input) ------------------- *)
@@ -1092,7 +1101,7 @@ let wstate_charge (st : wstate) ~steps ~cost =
   st.st_fuel <- st.st_fuel - steps;
   st.st_total <- st.st_total +. cost
 
-let run_iteration (st : wstate) (rt : rtarget) ~(on_instr : Ir.instr -> unit)
+let run_iteration (st : wstate) (rt : rtarget) ~(on_node : int -> unit)
     ~(builtin : Builtins.t -> Value.t list -> has_dst:bool -> Value.t * float)
     (regs : Value.t array) : unit =
   let rec w_exec_call st (callee : pfunc) (cargs : opf array) caller_regs : Value.t =
@@ -1107,7 +1116,7 @@ let run_iteration (st : wstate) (rt : rtarget) ~(on_instr : Ir.instr -> unit)
     done;
     w_nested st callee cregs callee.pf_entry
   (* nested calls run whole functions: builtins stay intercepted, but
-     node tracking ([on_instr]) stays at target-function depth — callee
+     node tracking ([on_node]) stays at target-function depth — callee
      work belongs to the calling node *)
   and w_nested st (pf : pfunc) regs bidx : Value.t =
     if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
@@ -1149,16 +1158,24 @@ let run_iteration (st : wstate) (rt : rtarget) ~(on_instr : Ir.instr -> unit)
   in
   let pf = rt.rt_pf in
   let nblocks = Array.length pf.pf_blocks in
+  (* the node the iteration is in: [on_node] fires once per maximal
+     same-node instruction run, before the run's first instruction *)
+  let cur = ref (-1) in
   let rec span bidx =
     if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
     st.st_fuel <- st.st_fuel - 1;
     let b = Array.unsafe_get pf.pf_blocks bidx in
-    let instrs = b.pb_instrs and costs = b.pb_costs and irs = b.pb_irs in
+    let instrs = b.pb_instrs and costs = b.pb_costs in
+    let nids = Array.unsafe_get rt.rt_nids bidx in
     for k = 0 to Array.length instrs - 1 do
+      let nid = Array.unsafe_get nids k in
+      if nid <> !cur then begin
+        cur := nid;
+        on_node nid
+      end;
       if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
       st.st_fuel <- st.st_fuel - 1;
       st.st_total <- st.st_total +. Array.unsafe_get costs k;
-      on_instr (Array.unsafe_get irs k);
       match Array.unsafe_get instrs k with
       | Psimple f -> f st regs
       | Pbuiltin { bi; bargs; bdst } ->

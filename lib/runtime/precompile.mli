@@ -69,17 +69,27 @@ type rtarget
     caller falls back to another engine): multiple latches, a header
     containing non-control work, a control slice escaping header+latch,
     a machine-writing builtin or user call in the slice, or a register
-    written in the loop body and read after the loop. *)
+    written in the loop body and read after the loop. [nid_of_iid] maps
+    a target-function instruction id to its PDG node ([-1] = none); it
+    is resolved once here into the node map ({!rtarget_nids}). *)
 val plan_real :
   t ->
   fname:string ->
   header:Commset_ir.Ir.label ->
   latches:Commset_ir.Ir.label list ->
   body:Commset_ir.Ir.label list ->
+  nid_of_iid:(int -> int) ->
   (rtarget, string) result
 
 (** Instruction iids the coordinator executes inside the loop. *)
 val rtarget_backbone : rtarget -> int list
+
+(** The prepared node map: per block index of the target function, per
+    instruction, the PDG node id ([-1] = none). The interpreted worker
+    ({!run_iteration}) and the codegen emitter both derive their node
+    transitions from it. Shared, not copied: callers must not mutate
+    it. *)
+val rtarget_nids : rtarget -> int array array
 
 val rtarget_nregs : rtarget -> int
 val rtarget_fname : rtarget -> string
@@ -177,17 +187,22 @@ val global_slot : t -> string -> int option
 val global_declared : t -> string -> bool
 
 (** Execute one full iteration body, from the loop's body entry until a
-    terminator re-enters the header. [on_instr] fires before every
-    instruction at target-function depth (node tracking); [builtin]
-    replaces every builtin call at any depth — implementations usually
-    wrap [Builtins.impl] with locking, ordering, or buffering. [regs]
-    must be a private copy of the register file passed to [on_iter].
-    Raises a [Diag.Error] if the iteration returns or branches out of
-    the loop. *)
+    terminator re-enters the header. [on_node nid] fires only at node
+    transitions: before the first instruction at target-function depth
+    whose node id ({!rtarget_nids}, [-1] = none) differs from the
+    previous one, the iteration starting outside any node ([-1]) — so
+    once per maximal same-node instruction run, never per instruction,
+    and before that instruction's fuel step and cost charge (the
+    compiled body's [cg_node] point). Callee instructions belong to the
+    calling node. [builtin] replaces every builtin call at any depth —
+    implementations usually wrap [Builtins.impl] with locking,
+    ordering, or buffering. [regs] must be a private copy of the
+    register file passed to [on_iter]. Raises a [Diag.Error] if the
+    iteration returns or branches out of the loop. *)
 val run_iteration :
   wstate ->
   rtarget ->
-  on_instr:(Commset_ir.Ir.instr -> unit) ->
+  on_node:(int -> unit) ->
   builtin:(Builtins.t -> Value.t list -> has_dst:bool -> Value.t * float) ->
   Value.t array ->
   unit

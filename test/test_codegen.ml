@@ -129,30 +129,31 @@ let test_cache_warm_agrees () =
         (sorted cold.P.xstats.Exec.x_outputs)
         (sorted warm.P.xstats.Exec.x_outputs)
 
+let nid_of_iid pdg iid =
+  match Pdg.node_of_instr pdg iid with Some nid -> nid | None -> -1
+
+(* The executor's coordinator/worker split of one concrete program. *)
+let rtarget (c : P.t) =
+  let pdg = c.P.target.P.pdg in
+  let loop = pdg.Pdg.loop in
+  match
+    R.Precompile.plan_real c.P.prepared ~fname:pdg.Pdg.func.Commset_ir.Ir.fname
+      ~header:loop.Loops.header ~latches:loop.Loops.latches ~body:loop.Loops.body
+      ~nid_of_iid:(nid_of_iid pdg)
+  with
+  | Ok rt -> rt
+  | Error why -> Alcotest.failf "plan_real refused the loop: %s" why
+
 (* Replicate the executor's translation entry to reach the cache paths
    of one concrete program. *)
 let rt_and_source (c : P.t) =
-  let tgt = c.P.target in
-  let pdg = tgt.P.pdg in
-  let loop = pdg.Pdg.loop in
-  let rt =
-    match
-      R.Precompile.plan_real c.P.prepared ~fname:pdg.Pdg.func.Commset_ir.Ir.fname
-        ~header:loop.Loops.header ~latches:loop.Loops.latches
-        ~body:loop.Loops.body
-    with
-    | Ok rt -> rt
-    | Error why -> Alcotest.failf "plan_real refused the loop: %s" why
-  in
-  let nid_of_iid iid =
-    match Pdg.node_of_instr pdg iid with Some nid -> nid | None -> -1
-  in
+  let rt = rtarget c in
   let src =
-    match Codegen.source ~prepared:c.P.prepared ~rt ~nid_of_iid () with
+    match Codegen.source ~prepared:c.P.prepared ~rt () with
     | Ok src -> src
     | Error why -> Alcotest.failf "uncompilable body: %s" why
   in
-  (rt, nid_of_iid, src)
+  (rt, src)
 
 let remove_if_exists p = try Sys.remove p with Sys_error _ -> ()
 
@@ -165,7 +166,7 @@ let remove_if_exists p = try Sys.remove p with Sys_error _ -> ()
 let test_corrupted_cache_recompiles () =
   let w = Option.get (Registry.find "url") in
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
-  let rt, nid_of_iid, src = rt_and_source c in
+  let rt, src = rt_and_source c in
   let key = Codegen.key_of_source src in
   let dir =
     Filename.concat
@@ -187,7 +188,7 @@ let test_corrupted_cache_recompiles () =
   close_out oc;
   Codegen.reset_memo ();
   let prepare () =
-    match Codegen.prepare ~prepared:c.P.prepared ~rt ~nid_of_iid () with
+    match Codegen.prepare ~prepared:c.P.prepared ~rt () with
     | Ok cg -> cg
     | Error why -> Alcotest.failf "codegen prepare failed: %s" why
   in
@@ -202,6 +203,158 @@ let test_corrupted_cache_recompiles () =
   let warm = prepare () in
   check Alcotest.bool "healed entry serves a disk cache hit" true
     warm.Codegen.cg_cache_hit
+
+(* ---- node transitions: interpreted, per-instruction, compiled ---- *)
+
+(* One target-loop iteration as a worker sees it: its node-transition
+   stream, the fuel steps it retires and the cycles it charges, summed
+   from zero in execution order (equal charge sequences give
+   bit-identical floats). *)
+type iter_obs = { o_nodes : int list; o_steps : int; o_cost : float }
+
+(* The target loop driven sequentially through the coordinator's
+   backbone, each iteration executed inline on a fresh worker state by
+   [body wst builtin record regs]; [record] collects node ids. *)
+let drive_iterations (c : P.t) rt body =
+  let machine = R.Machine.create () in
+  c.P.setup machine;
+  let ex = R.Precompile.executor ~machine c.P.prepared in
+  let builtin (bi : R.Builtins.t) argv ~has_dst:_ = bi.R.Builtins.impl machine argv in
+  let obs = ref [] in
+  ignore
+    (R.Precompile.run_main_real ex rt
+       ~on_iter:(fun _ regs ->
+         let wst = R.Precompile.worker_state ex ~fuel:max_int in
+         let nodes = ref [] in
+         body wst builtin (fun nid -> nodes := nid :: !nodes) (Array.copy regs);
+         obs :=
+           {
+             o_nodes = List.rev !nodes;
+             o_steps = max_int - R.Precompile.wstate_fuel_left wst;
+             o_cost = R.Precompile.wstate_total wst;
+           }
+           :: !obs)
+       ~on_loop_done:ignore
+      : float);
+  (List.rev !obs, R.Machine.outputs machine)
+
+(* The per-instruction reference: a sequential run on the instrumented
+   (hook-faithful) path, where every target-function instruction inside
+   an iteration is resolved through [Pdg.node_of_instr] and a transition
+   is recorded whenever its node differs from the previous one — the
+   worker's former per-instruction hook. An iteration runs from a
+   body-block entry to the next header entry; steps and costs count at
+   every call depth in between. *)
+let reference_iterations (c : P.t) =
+  let pdg = c.P.target.P.pdg in
+  let loop = pdg.Pdg.loop in
+  let target = pdg.Pdg.func.Commset_ir.Ir.fname in
+  let at_target (f : Commset_ir.Ir.func) = String.equal f.Commset_ir.Ir.fname target in
+  let h = R.Interp.null_hooks () in
+  let obs = ref [] in
+  let active = ref false and nodes = ref [] and steps = ref 0 and cost = ref 0. in
+  let cur = ref (-1) in
+  let close () =
+    if !active then
+      obs := { o_nodes = List.rev !nodes; o_steps = !steps; o_cost = !cost } :: !obs;
+    active := false
+  in
+  h.R.Interp.on_block <-
+    (fun f l ->
+      if at_target f && l = loop.Loops.header then close ()
+      else begin
+        if at_target f && (not !active) && List.mem l loop.Loops.body then begin
+          active := true;
+          nodes := [];
+          steps := 0;
+          cost := 0.;
+          cur := -1
+        end;
+        if !active then incr steps
+      end);
+  h.R.Interp.on_instr <-
+    (fun f i ->
+      if !active then begin
+        incr steps;
+        if at_target f then begin
+          let nid = nid_of_iid pdg i.Commset_ir.Ir.iid in
+          if nid <> !cur then begin
+            cur := nid;
+            nodes := nid :: !nodes
+          end
+        end
+      end);
+  h.R.Interp.on_base_cost <- (fun x -> if !active then cost := !cost +. x);
+  h.R.Interp.on_builtin <- (fun _ x -> if !active then cost := !cost +. x);
+  let machine = R.Machine.create () in
+  c.P.setup machine;
+  ignore (R.Precompile.run_main (R.Precompile.executor ~hooks:h ~machine c.P.prepared) : float);
+  close ();
+  List.rev !obs
+
+(* The interpreted worker's [on_node] stream, the per-instruction
+   reference and the compiled body's (deduplicated, as the engine's
+   [cg_node] does) transition stream agree on every traced iteration,
+   as do the steps and the charged cycles each iteration retires. *)
+let node_transitions_agree (w : W.t) () =
+  Costmodel.set_exec_ns_per_cycle 0.0;
+  let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
+  let rt = rtarget c in
+  let interp, outs =
+    drive_iterations c rt (fun wst builtin record regs ->
+        R.Precompile.run_iteration wst rt ~on_node:record ~builtin regs)
+  in
+  let cg =
+    match Codegen.prepare ~prepared:c.P.prepared ~rt () with
+    | Ok cg -> cg
+    | Error why -> Alcotest.failf "%s: codegen prepare failed: %s" w.W.wname why
+  in
+  let compiled, _ =
+    drive_iterations c rt (fun wst builtin record regs ->
+        let cur = ref (-1) in
+        cg.Codegen.cg_fn
+          {
+            Commset_codegen.Abi.cg_globals = R.Precompile.wstate_globals wst;
+            cg_gdefined = R.Precompile.wstate_gdefined wst;
+            cg_node =
+              (fun nid ->
+                if nid <> !cur then begin
+                  cur := nid;
+                  record nid
+                end);
+            cg_builtin = builtin;
+            cg_charge = (fun ~steps ~cost -> R.Precompile.wstate_charge wst ~steps ~cost);
+            cg_fuel_left = (fun () -> R.Precompile.wstate_fuel_left wst);
+          }
+          regs)
+  in
+  let reference = reference_iterations c in
+  check
+    Alcotest.(list string)
+    "inline iterations reproduce the sequential output" c.P.trace.R.Trace.seq_outputs outs;
+  let n = R.Trace.n_iterations c.P.trace in
+  check Alcotest.int "interpreted iterations" n (List.length interp);
+  check Alcotest.int "reference iterations" n (List.length reference);
+  check Alcotest.int "compiled iterations" n (List.length compiled);
+  let bits x = Int64.bits_of_float x in
+  List.iteri
+    (fun k ((i, r), g) ->
+      let what fmt = Printf.sprintf ("%s iteration %d: " ^^ fmt) w.W.wname k in
+      check Alcotest.(list int) (what "on_node = per-instruction") r.o_nodes i.o_nodes;
+      check Alcotest.(list int) (what "cg_node = per-instruction") r.o_nodes g.o_nodes;
+      check Alcotest.int (what "interpreted steps") r.o_steps i.o_steps;
+      check Alcotest.int (what "compiled steps") r.o_steps g.o_steps;
+      check Alcotest.int64 (what "interpreted charged cycles") (bits r.o_cost) (bits i.o_cost);
+      check Alcotest.int64 (what "compiled charged cycles") (bits r.o_cost) (bits g.o_cost))
+    (List.combine (List.combine interp reference) compiled)
+
+let transition_cases =
+  List.map
+    (fun w ->
+      Alcotest.test_case
+        (Printf.sprintf "%s: node transitions agree (interp/per-instr/compiled)" w.W.wname)
+        `Quick (node_transitions_agree w))
+    Registry.all
 
 (* ---- property: random small loop bodies compile and agree ---- *)
 
@@ -296,4 +449,4 @@ let suite =
         test_corrupted_cache_recompiles;
       qcheck prop_random_bodies_agree;
     ]
-    @ differential_cases )
+    @ differential_cases @ transition_cases )

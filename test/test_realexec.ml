@@ -4,8 +4,8 @@
     burn fallback) and matched the sequential reference at jobs 1, 2
     and 4; a qcheck property establishes that the commutative-update
     merge is insensitive to how iterations were distributed over
-    workers; and a burn-vs-real cross-check runs both engines on the
-    same compilation. *)
+    workers; a burn-vs-real cross-check runs both engines on the same
+    compilation; and the per-run builtin policy table is pinned. *)
 
 module P = Commset_pipeline.Pipeline
 module W = Commset_workloads.Workload
@@ -14,6 +14,9 @@ module T = Commset_transforms
 module Costmodel = Commset_runtime.Costmodel
 module Exec = Commset_exec.Exec
 module Realexec = Commset_exec.Realexec
+module R = Commset_runtime
+module Pdg = Commset_pdg.Pdg
+module Effects = Commset_analysis.Effects
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
@@ -60,6 +63,71 @@ let prop_merge_order_insensitive =
           done)
         iters;
       Realexec.merge_order ~compare:Int.compare bufs = seq)
+
+(* ---- builtin execution policy ---- *)
+
+let policy_name = function
+  | Realexec.Plain -> "plain"
+  | Realexec.Buffered _ -> "buffered"
+  | Realexec.Bitmap Realexec.Bm_get -> "bitmap get"
+  | Realexec.Bitmap Realexec.Bm_set -> "bitmap set"
+  | Realexec.Ordered -> "ordered"
+  | Realexec.Mutexed Realexec.No_alloc -> "mutexed"
+  | Realexec.Mutexed Realexec.Bm_new -> "mutexed bm_new"
+  | Realexec.Mutexed Realexec.Bm_free -> "mutexed bm_free"
+
+(* A loop whose order-free update families all qualify for buffering:
+   writers called for effect only, no same-family reader in the loop. *)
+let buffering_loop =
+  {|
+void main() {
+  for (int i = 0; i < 4; i++) {
+    stat_add(1.5);
+    hist_add(2.5);
+    vec_push(int_to_string(i));
+    log_write("entry");
+  }
+}
+|}
+
+(* Pins the resolved per-run policy table: which builtins are ordered,
+   privatizable bitmap ops, machine-mutexed and buffered, indexed by
+   ids that are dense list positions. *)
+let test_policy_table () =
+  List.iteri
+    (fun i (bi : R.Builtins.t) ->
+      check Alcotest.int (Printf.sprintf "%s id = list position" bi.R.Builtins.name) i
+        bi.R.Builtins.id)
+    R.Builtins.all;
+  let c = P.compile ~name:"policy" buffering_loop in
+  let pdg = c.P.target.P.pdg in
+  let buffered =
+    Effects.bufferable_updates
+      (R.Precompile.program c.P.prepared)
+      pdg.Pdg.func pdg.Pdg.loop.Commset_analysis.Loops.body
+  in
+  let table = Realexec.policies ~buffered in
+  check Alcotest.int "one policy per builtin" (List.length R.Builtins.all) (Array.length table);
+  let expect want name =
+    check Alcotest.string name want (policy_name table.((R.Builtins.find_exn name).R.Builtins.id))
+  in
+  List.iter
+    (expect "ordered")
+    [ "rng_int"; "rng_range"; "rng_float"; "rng_gauss"; "rng_reseed"; "db_read"; "pkt_dequeue" ];
+  expect "bitmap get" "bm_get";
+  expect "bitmap set" "bm_set";
+  expect "mutexed bm_new" "bm_new";
+  expect "mutexed bm_free" "bm_free";
+  List.iter (expect "mutexed") [ "graph_set_neighbor"; "graph_set_weight" ];
+  List.iter (expect "buffered") [ "stat_add"; "hist_add"; "vec_push"; "log_write" ];
+  expect "plain" "int_to_string";
+  (* outside a qualifying loop the same writers are machine-mutexed *)
+  let unbuffered = Realexec.policies ~buffered:(Hashtbl.create 1) in
+  List.iter
+    (fun name ->
+      check Alcotest.string (name ^ " without buffering") "mutexed"
+        (policy_name unbuffered.((R.Builtins.find_exn name).R.Builtins.id)))
+    [ "stat_add"; "hist_add"; "vec_push"; "log_write" ]
 
 (* ---- differential suite: explicit real engine, no fallback ---- *)
 
@@ -126,5 +194,6 @@ let suite =
       Alcotest.test_case "engine names and defaults" `Quick test_engine_names;
       qcheck prop_merge_order_insensitive;
       Alcotest.test_case "burn vs real agree on md5sum" `Quick test_burn_vs_real;
+      Alcotest.test_case "builtin policy table" `Quick test_policy_table;
     ]
     @ differential_cases )
