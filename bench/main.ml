@@ -330,7 +330,7 @@ let json_of_overhead ro =
 type measured = {
   me_workload : string;
   me_plan : string;
-  me_engine : string;  (** engine that actually ran ("real"/"burn") *)
+  me_engine : string;  (** engine that actually ran ("real"/"codegen") *)
   me_predicted : float;  (** the simulator's speedup estimate *)
   me_measured : float;  (** wall-clock speedup on real domains *)
   me_fidelity : P.output_fidelity;

@@ -359,18 +359,18 @@ let run_cmd =
       calibrate level =
     setup_logs level;
     with_diag (fun () ->
-        let name, src, setup = load ~workload ~variant ~file in
-        let c = P.compile ~name ~setup src in
         let engine =
           Option.map
             (fun e ->
               match Commset_exec.Exec.engine_of_string e with
               | Some e -> e
               | None ->
-                  Fmt.epr "--engine must be real, codegen or burn, not %s@." e;
+                  Fmt.epr "--engine must be real or codegen, not %s@." e;
                   exit 2)
             engine
         in
+        let name, src, setup = load ~workload ~variant ~file in
+        let c = P.compile ~name ~setup src in
         (* --engine without --jobs still means "execute for real":
            auto-size the worker-domain count from the machine. *)
         let jobs =
@@ -443,9 +443,8 @@ let run_cmd =
              iteration body compiled to native code — falls back to real with a \
              printed reason when the toolchain or body shape defeats it; cache \
              under \\$COMMSET_CODEGEN_CACHE, \\$XDG_CACHE_HOME/commset-codegen or \
-             _build/codegen) or $(b,burn) (replay the emitted per-thread schedule \
-             as calibrated cycle burns). Implies real execution even without \
-             --jobs.")
+             _build/codegen). A target loop whose shape the real engine refuses \
+             is a CS014 error. Implies real execution even without --jobs.")
   in
   let plan_arg =
     Arg.(
@@ -663,10 +662,10 @@ let stat_cmd =
         let name, src, setup = load ~workload ~variant ~file in
         let engine =
           match Commset_exec.Exec.engine_of_string engine with
-          | Some Commset_exec.Exec.Burn_engine | None ->
+          | Some e -> e
+          | None ->
               Fmt.epr "--engine must be real or codegen, not %s@." engine;
               exit 2
-          | Some e -> e
         in
         let jobs =
           match jobs with Some j -> j | None -> Commset_exec.Exec.default_jobs ()

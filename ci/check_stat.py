@@ -83,10 +83,7 @@ def main():
             sys.exit("%s: output MISMATCH" % tag)
         a = p["attribution"]
         if a is None:
-            # burn fallbacks carry no attribution; real/codegen must
-            if p["engine"] in ("real", "codegen"):
-                sys.exit("%s: engine %s ran without attribution" % (tag, p["engine"]))
-            continue
+            sys.exit("%s: engine %s ran without attribution" % (tag, p["engine"]))
         ci = p["compute_inflation"]
         if ci is None or not (math.isfinite(ci) and ci > 0):
             sys.exit("%s: compute inflation %r is not a finite positive number" % (tag, ci))

@@ -359,26 +359,18 @@ let pp_rw ppf rw =
     (LocSet.elements rw.writes)
 
 (* ------------------------------------------------------------------ *)
-(* Commutative-update classes                                          *)
+(* Operation classes                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type update_family = {
-  uf_name : string;
-  uf_writers : string list;
-  uf_readers : string list;
-}
-
-let update_families =
-  [
-    {
-      uf_name = "stats";
-      uf_writers = [ "stat_add"; "stat_note_max" ];
-      uf_readers = [ "stat_summary" ];
-    };
-    { uf_name = "hist"; uf_writers = [ "hist_add" ]; uf_readers = [ "hist_summary" ] };
-    { uf_name = "vec"; uf_writers = [ "vec_push" ]; uf_readers = [ "vec_size"; "vec_get" ] };
-    { uf_name = "log"; uf_writers = [ "log_write" ]; uf_readers = [ "log_count" ] };
-  ]
+type opclass =
+  | Accum of string
+  | Multiset of string
+  | Alloc of string
+  | Cursor of string
+  | Rng
+  | Advance of string
+  | Overwrite
+  | Opaque of string
 
 let loop_extern_calls (program : Ir.program) (func : Ir.func) (body : Ir.label list) :
     (string * bool) list =
@@ -402,21 +394,3 @@ let loop_extern_calls (program : Ir.program) (func : Ir.func) (body : Ir.label l
   in
   List.iter (fun l -> scan_block (Ir.block func l)) body;
   !acc
-
-let bufferable_updates (program : Ir.program) (func : Ir.func) (body : Ir.label list) :
-    (string, unit) Hashtbl.t =
-  let calls = loop_extern_calls program func body in
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun fam ->
-      let reader_in_loop =
-        List.exists (fun (n, _) -> List.mem n fam.uf_readers) calls
-      in
-      let writer_sites = List.filter (fun (n, _) -> List.mem n fam.uf_writers) calls in
-      if
-        writer_sites <> []
-        && (not reader_in_loop)
-        && List.for_all (fun (_, has_dst) -> not has_dst) writer_sites
-      then List.iter (fun w -> Hashtbl.replace tbl w ()) fam.uf_writers)
-    update_families;
-  tbl

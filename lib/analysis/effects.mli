@@ -87,29 +87,25 @@ val pp_source : Format.formatter -> source -> unit
 val pp_location : Format.formatter -> location -> unit
 val pp_rw : Format.formatter -> rw -> unit
 
-(** {2 Commutative-update classes}
-
-    Families of order-free update builtins: any interleaving of the
-    writers reaches the same final state {e provided} the updates are
-    ultimately applied in a single well-defined order — which is what
-    the real-execution engine's per-domain buffering with an
-    iteration-ordered lazy merge guarantees. *)
-
-type update_family = {
-  uf_name : string;
-  uf_writers : string list;  (** order-free state updates returning unit *)
-  uf_readers : string list;  (** observers of the accumulated state *)
-}
-
-val update_families : update_family list
-
 (** Extern (builtin) calls reachable from [body], transitively through
     user-defined callees: [(callee, has_dst)] pairs. *)
 val loop_extern_calls :
   Ir.program -> Ir.func -> Ir.label list -> (string * bool) list
 
-(** Writers safe to buffer per-domain and replay at loop exit: every
-    family with at least one writer call in the loop, no same-family
-    reader in the loop, and no writer call using its result. *)
-val bufferable_updates :
-  Ir.program -> Ir.func -> Ir.label list -> (string, unit) Hashtbl.t
+(** {2 Operation classes}
+
+    How a write combines with a concurrent write to the same location,
+    the vocabulary of the verifier's abstract-store differencing. Each
+    builtin declares its class in the builtin registry; the verifier
+    derives the classes of plain stores and user-function calls. *)
+type opclass =
+  | Accum of string  (** commutative-associative accumulation *)
+  | Multiset of string  (** append to an order-insensitive sink *)
+  | Alloc of string  (** allocator bump; equal up to handle renaming *)
+  | Cursor of string  (** shared-cursor advance; drawn values exchanged *)
+  | Rng  (** pseudo-random stream draw *)
+  | Advance of string
+      (** deterministic self-update [g = f(g)] of one global: both
+          orders leave [f(f(g))], per-instance results exchanged *)
+  | Overwrite  (** last-writer-wins store *)
+  | Opaque of string  (** no algebraic structure known *)

@@ -80,35 +80,8 @@ exception Aborted
 (* Builtin classification                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Builtins whose calls are ordered events regardless of annotation:
-   their result value depends on every earlier call (a shared cursor or
-   seed), so running them out of iteration order changes program values,
-   not just effect interleaving. The commset annotations only promise
-   that the *final state* is order-free — the values each call returns
-   are not. *)
-let always_ordered = [ "rng_int"; "rng_range"; "rng_float"; "rng_gauss"; "rng_reseed"; "db_read"; "pkt_dequeue" ]
-
-(* Machine-mutating builtins that declare no abstract resource (their
-   effects are annotation-invisible by design) but mutate shared
-   hashtables; they must still be serialized at the machine level. *)
-let mutexed_by_name name = name = "graph_set_neighbor" || name = "graph_set_weight"
-
-(* Simulated cost charged for a buffered call (the impl runs later, on
-   the coordinator, where its cost is not charged to any worker). *)
-let buffered_cost name : Value.t list -> float =
-  match name with
-  | "stat_add" -> fun _ -> 16.
-  | "stat_note_max" -> fun _ -> 14.
-  | "hist_add" -> fun _ -> Costmodel.hist_cost
-  | "vec_push" -> fun _ -> Costmodel.collection_op_cost
-  | "log_write" ->
-      fun argv ->
-        let len = match argv with Value.Vstring s :: _ -> String.length s | _ -> 0 in
-        Costmodel.log_write_base +. (Costmodel.per_byte *. float_of_int len)
-  | _ -> fun _ -> 10.
-
-type bitmap_op = Bm_get | Bm_set
-type alloc_effect = No_alloc | Bm_new | Bm_free
+type bitmap_op = Builtins.bitmap_op = Bm_get | Bm_set
+type alloc_effect = Builtins.alloc_effect = No_alloc | Bm_new | Bm_free
 
 type policy =
   | Plain
@@ -117,21 +90,42 @@ type policy =
   | Ordered
   | Mutexed of alloc_effect
 
-(* First match wins: a bufferable writer is buffered whatever else it
-   is; bitmap get/set are private-or-ordered; then always-ordered;
-   anything touching a shared resource (or a name-mutexed hashtable)
-   runs under the machine mutex. *)
+let bufferable_updates (program : Ir.program) (func : Ir.func) (body : Ir.label list) :
+    bool array =
+  let calls =
+    List.filter_map
+      (fun (name, has_dst) -> Option.map (fun bi -> (bi, has_dst)) (Builtins.find name))
+      (Effects.loop_extern_calls program func body)
+  in
+  let qualifies fam =
+    let sites =
+      List.filter
+        (fun ((bi : Builtins.t), _) ->
+          match bi.Builtins.family with
+          | Builtins.Writer (f, _) | Builtins.Reader f -> f = fam
+          | Builtins.No_family -> false)
+        calls
+    in
+    sites <> []
+    && List.for_all
+         (fun ((bi : Builtins.t), has_dst) ->
+           match bi.Builtins.family with Builtins.Writer _ -> not has_dst | _ -> false)
+         sites
+  in
+  Array.of_list
+    (List.map
+       (fun (bi : Builtins.t) ->
+         match bi.Builtins.family with Builtins.Writer (f, _) -> qualifies f | _ -> false)
+       Builtins.all)
+
+(* a bufferable writer is buffered whatever its execution class *)
 let policy_of ~buffered (bi : Builtins.t) =
-  let name = bi.Builtins.name in
-  if Hashtbl.mem buffered name then Buffered (buffered_cost name)
-  else
-    match name with
-    | "bm_get" -> Bitmap Bm_get
-    | "bm_set" -> Bitmap Bm_set
-    | _ when List.mem name always_ordered -> Ordered
-    | _ when Builtins.resources bi <> [] || mutexed_by_name name ->
-        Mutexed (match name with "bm_new" -> Bm_new | "bm_free" -> Bm_free | _ -> No_alloc)
-    | _ -> Plain
+  match (bi.Builtins.family, bi.Builtins.exec) with
+  | Builtins.Writer (_, cost), _ when buffered.(bi.Builtins.id) -> Buffered cost
+  | _, Builtins.Plain -> Plain
+  | _, Builtins.Bitmap op -> Bitmap op
+  | _, Builtins.Ordered -> Ordered
+  | _, Builtins.Mutexed alloc -> Mutexed alloc
 
 let policies ~buffered = Array.of_list (List.map (policy_of ~buffered) Builtins.all)
 
@@ -310,7 +304,7 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
       in
       let program = Precompile.program prepared in
       let buffered =
-        Effects.bufferable_updates program pdg.Pdg.func loop.Commset_analysis.Loops.body
+        bufferable_updates program pdg.Pdg.func loop.Commset_analysis.Loops.body
       in
       (* every builtin's execution policy, resolved once for this loop:
          the per-call path is one array load and a match *)
@@ -322,7 +316,7 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
           m "plan '%s': %d worker(s), %d traced iteration(s), %s frontier, %d buffered writer(s)"
             plan.Plan.label w n
             (if ord.o_counting then "counted" else "iteration-grained")
-            (Hashtbl.length buffered));
+            (Array.fold_left (fun n b -> if b then n + 1 else n) 0 buffered));
       let machine = Machine.create () in
       setup machine;
       let ex = Precompile.executor ~machine prepared in
@@ -484,7 +478,6 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
               Spin.release machine_lock;
               raise e
         in
-        let bm_arg argv = match argv with Value.Vint h :: rest -> (h, rest) | _ -> (-1, []) in
         let ordered_call (bi : Builtins.t) argv =
           burn_to ();
           await ();
@@ -499,25 +492,13 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
               ubufs.(wi) := (!cur_k, (bi, argv)) :: !(ubufs.(wi));
               wbuffered.(wi) <- wbuffered.(wi) + 1;
               (Value.Vint 0, cost argv)
-          | Bitmap op -> (
-              let h, rest = bm_arg argv in
+          | Bitmap _ -> (
+              let h = match argv with Value.Vint h :: _ -> h | _ -> -1 in
               match Hashtbl.find_opt priv_bm h with
-              | Some bytes -> (
+              | Some bytes ->
                   (* this worker allocated the handle this iteration: the
                      payload is private, no lock and no ordering needed *)
-                  let key = match rest with Value.Vint k :: _ -> k | _ -> -1 in
-                  let byte = key / 8 and bit = key mod 8 in
-                  match op with
-                  | Bm_set ->
-                      if byte < 0 || byte >= Bytes.length bytes then
-                        Diag.error "runtime: bitmap key %d out of range" key;
-                      Bytes.set bytes byte
-                        (Char.chr (Char.code (Bytes.get bytes byte) lor (1 lsl bit)));
-                      (Value.Vint 0, Costmodel.collection_op_cost)
-                  | Bm_get ->
-                      if byte < 0 || byte >= Bytes.length bytes then (Value.Vbool false, 8.)
-                      else
-                        (Value.Vbool (Char.code (Bytes.get bytes byte) land (1 lsl bit) <> 0), 8.))
+                  Builtins.bitmap_on_payload bi bytes argv
               | None -> ordered_call bi argv)
           | Ordered -> ordered_call bi argv
           | Mutexed alloc -> mutexed bi argv alloc

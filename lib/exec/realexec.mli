@@ -1,9 +1,7 @@
 (** True parallel execution of the prepared program on OCaml 5 domains —
-    the real backend's default engine. Where the calibrated-burn engine
-    ({!Burn}, [--engine=burn]) replays the *costs* of a recorded trace,
-    this engine runs the program itself: the coordinator domain executes
-    the whole prepared program but only the target loop's control
-    backbone ({!Commset_runtime.Precompile.plan_real}), dispatching each
+    the real backend's engine. It runs the program itself: the
+    coordinator domain executes the whole prepared program but only the
+    target loop's control backbone ({!Commset_runtime.Precompile.plan_real}), dispatching each
     iteration's live register file over an SPSC ring to one of [jobs]
     worker domains, which execute the full iteration body against the
     shared machine and global slots.
@@ -17,7 +15,8 @@
     - {e machine mutex}: every builtin that touches a shared machine
       resource runs under one spin lock, except entry-local operations
       on handles allocated by the same iteration (private bitmaps run
-      lock-free on a cached payload);
+      lock-free on a cached payload); each builtin's execution class is
+      on its registry record ({!Commset_runtime.Builtins.exec_class});
     - {e iteration frontier}: value-carrying dependences — carried
       memory dependences through globals/heap (annotated or not) and
       order-sensitive builtins (RNG, DB cursor, packet queue, shared
@@ -27,10 +26,11 @@
       an iteration, so downstream compute overlaps (DOACROSS); loops
       with uncountable ordered nodes release only at iteration end;
     - {e update buffering}: order-free update families (stats,
-      histogram, vector, log) whose results are not read inside the
-      loop are buffered per-domain and replayed in iteration order at
-      loop exit — the merged state is bit-identical to sequential
-      execution, float accumulation order included;
+      histogram, vector, log; a builtin's family role is on its registry
+      record) whose results are not read inside the loop are buffered
+      per-domain and replayed in iteration order at loop exit — the
+      merged state is bit-identical to sequential execution, float
+      accumulation order included;
     - {e output routing}: worker output lines are buffered per-domain
       with monotonic timestamps and merged at loop exit; the mandatory
       equivalence check ({!Equiv}) then compares the full stream
@@ -74,16 +74,18 @@ type result = {
 (** {2 Builtin execution policy}
 
     How a worker executes each builtin call, resolved once per run from
-    the loop's bufferable update families, the always-ordered list, the
-    name-mutexed list and the builtin's abstract resources. The worker's
-    per-call path is one array load (indexed by [Builtins.t.id]) and a
-    match; the ordering analysis reads the same table. *)
+    the builtin registry's records ({!Commset_runtime.Builtins.t}: the
+    execution class and the update-family role) and the loop's
+    bufferable writers. The worker's per-call path is one array load
+    (indexed by [Builtins.t.id]) and a match; the ordering analysis
+    reads the same table. *)
 
-type bitmap_op = Bm_get | Bm_set
+type bitmap_op = Commset_runtime.Builtins.bitmap_op = Bm_get | Bm_set
 
-(** What a machine-mutexed call does to the worker's set of bitmap
-    handles allocated this iteration (private, lock-free payloads). *)
-type alloc_effect = No_alloc | Bm_new | Bm_free
+type alloc_effect = Commset_runtime.Builtins.alloc_effect =
+  | No_alloc
+  | Bm_new
+  | Bm_free
 
 type policy =
   | Plain  (** pure or machine-neutral: runs directly, no lock *)
@@ -95,9 +97,17 @@ type policy =
   | Ordered  (** iteration-ordered event behind the frontier, mutexed *)
   | Mutexed of alloc_effect  (** under the machine mutex *)
 
+(** The update-family writers safe to buffer per domain and replay at
+    loop exit, indexed by [Builtins.t.id]: a family qualifies when the
+    loop ([body] of [func], transitively through user callees) calls at
+    least one of its writers, uses no writer's result, and calls none of
+    its readers; then all its writers are bufferable. *)
+val bufferable_updates :
+  Commset_ir.Ir.program -> Commset_ir.Ir.func -> Commset_ir.Ir.label list -> bool array
+
 (** The policy of every builtin, indexed by [Builtins.t.id]. [buffered]
-    is the loop's {!Commset_analysis.Effects.bufferable_updates}. *)
-val policies : buffered:(string, unit) Hashtbl.t -> policy array
+    is the loop's {!bufferable_updates}. *)
+val policies : buffered:bool array -> policy array
 
 (** Merge per-worker buffers (each newest-first, as accumulated) into
     replay order: concatenation of the reversed buffers, stable-sorted
@@ -111,7 +121,7 @@ val merge_order : compare:('k -> 'k -> int) -> ('k * 'a) list array -> ('k * 'a)
 (** Execute [plan]'s target loop for real on [jobs] worker domains plus
     a coordinator. [Error reason] when the loop shape defeats the
     coordinator/worker split ({!Commset_runtime.Precompile.plan_real});
-    the caller falls back to the burn engine. [emitted] supplies the
+    the caller refuses the run with that reason. [emitted] supplies the
     lock registry; [pdg], [trace] and [emitted] must come from the same
     compilation as [prepared]. Raises whatever a worker iteration raises
     (after joining all domains).

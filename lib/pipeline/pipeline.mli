@@ -115,11 +115,11 @@ type exec_run = {
 val executable_plans : t -> threads:int -> T.Plan.t list
 
 (** Execute a plan on real domains with the mandatory output-equivalence
-    check; raises a CS014 {!Diag.Error} on unsupported plans. [engine]
-    selects the realization (default: real program execution with burn
-    fallback); [jobs] pins the real engine's worker-domain count
-    (default: {!Commset_exec.Exec.default_jobs}); [attrib] (default
-    [true]) toggles the real/codegen engines' per-iteration attribution
+    check; raises a CS014 {!Diag.Error} on unsupported plans and on
+    target loops the real engine refuses. [engine] selects the
+    realization (default: real program execution); [jobs] pins the
+    worker-domain count (default: {!Commset_exec.Exec.default_jobs});
+    [attrib] (default [true]) toggles the per-iteration attribution
     layer (the summary lands in [xstats.x_attrib]). *)
 val run_parallel :
   ?engine:Commset_exec.Exec.engine ->

@@ -27,6 +27,16 @@ module Tc = Commset_lang.Typecheck
 open Commset_support
 
 type impl = Machine.t -> Value.t list -> Value.t * float
+type bitmap_op = Bm_get | Bm_set
+type alloc_effect = No_alloc | Bm_new | Bm_free
+
+type exec_class =
+  | Plain
+  | Mutexed of alloc_effect
+  | Ordered
+  | Bitmap of bitmap_op
+
+type family = No_family | Writer of string * (Value.t list -> float) | Reader of string
 
 type t = {
   id : int;  (** dense: position in {!all} *)
@@ -36,6 +46,11 @@ type t = {
   spec : Effects.builtin_spec;
   thread_safe : bool;  (** internally synchronized (the paper's Lib mode) *)
   tm_safe : bool;  (** may execute inside a transaction *)
+  exec : exec_class;
+  family : family;
+  vclass : Effects.opclass;
+  key : (string list * int) option;
+  injective : bool;
   impl : impl;
 }
 
@@ -58,15 +73,23 @@ let rw_spec ?(reads = []) ?(writes = []) ?(reads_arrays = []) ?(writes_arrays = 
     bs_allocates = allocates;
   }
 
-let b ?(thread_safe = false) ?(tm_safe = true) ?(spec = pure_spec) name params ret impl =
-  (* calibration hook: an active profile rescales the charged cost; the
-     inactive path skips the multiplication so costs stay bit-identical *)
-  let impl m args =
-    let v, cost = impl m args in
-    let s = Costmodel.builtin_cost_scale name in
-    if s = 1.0 then (v, cost) else (v, cost *. s)
+(** Abstract resources a builtin touches (for Lib-mode locking). *)
+let resources bi = Listx.uniq (bi.spec.Effects.bs_reads @ bi.spec.Effects.bs_writes)
+
+(* Unless [exec] says otherwise, a builtin touching no abstract resource
+   runs plain on a worker and one touching any runs under the machine
+   mutex; unless [vclass] says otherwise, its writes are opaque to the
+   verifier. *)
+let b ?(thread_safe = false) ?(tm_safe = true) ?(spec = pure_spec) ?exec ?(family = No_family)
+    ?vclass ?key ?(injective = false) name params ret impl =
+  let exec =
+    match exec with
+    | Some e -> e
+    | None when spec.Effects.bs_reads = [] && spec.Effects.bs_writes = [] -> Plain
+    | None -> Mutexed No_alloc
   in
-  { id = -1; name; params; ret; spec; thread_safe; tm_safe; impl }
+  let vclass = Option.value vclass ~default:(Effects.Opaque name) in
+  { id = -1; name; params; ret; spec; thread_safe; tm_safe; exec; family; vclass; key; injective; impl }
 
 let int_v n = Value.Vint n
 let float_v f = Value.Vfloat f
@@ -83,10 +106,35 @@ open Ast
 
 let alloc_cost n = Costmodel.alloc_base +. (Costmodel.alloc_per_slot *. float_of_int n)
 
+(* An order-free update of [family], called for effect: its one cost
+   function prices the call here and when a real-engine worker buffers
+   it for replay at loop exit. *)
+let update ?thread_safe ~family ~vclass ~spec ~cost name params apply =
+  b ?thread_safe ~spec ~vclass ~family:(Writer (family, cost)) name params Tvoid (fun m a ->
+      apply m a;
+      (int_v 0, cost a))
+
+(* A bitmap get/set against its payload: the machine's table for the
+   impl, a privately cached payload on a real-engine worker. *)
+let bitmap_call op bytes a =
+  (* the key without [iarg]'s message formatting: private bitmap calls
+     are a worker hot path *)
+  let key = match a with [ _; Value.Vint k ] -> k | _ -> iarg 1 a in
+  match op with
+  | Bm_set ->
+      ignore (Machine.bm_bit bytes key ~set:true);
+      (int_v 0, Costmodel.collection_op_cost)
+  | Bm_get -> (bool_v (Machine.bm_bit bytes key ~set:false), 8.)
+
+let bitmap op ?vclass ~spec name params ret =
+  b ~exec:(Bitmap op) ?vclass ~spec ~key:([ "bm.data" ], 0) name params ret (fun m a ->
+      bitmap_call op (Machine.bm_lookup m (iarg 0 a)) a)
+
 let registry : t list =
   [
     (* ---- pure conversions and string ops ---- *)
-    b "int_to_string" [ Tint ] Tstring (fun _ a -> (string_v (string_of_int (iarg 0 a)), 12.));
+    b "int_to_string" [ Tint ] Tstring ~injective:true (fun _ a ->
+        (string_v (string_of_int (iarg 0 a)), 12.));
     b "float_to_string" [ Tfloat ] Tstring (fun _ a ->
         (string_v (Printf.sprintf "%.4f" (farg 0 a)), 30.));
     b "int_to_float" [ Tint ] Tfloat (fun _ a -> (float_v (float_of_int (iarg 0 a)), 1.));
@@ -167,16 +215,16 @@ let registry : t list =
       (fun _ a -> (int_v (Array.length (aarg 0 a)), 1.));
     (* matrix = float[] from the shared allocator: the allocator free-list
        is the shared resource, the storage itself is fresh (456.hmmer) *)
-    b "matrix_alloc" [ Tint ] (Tarray Tfloat) ~tm_safe:true ~thread_safe:true
+    b "matrix_alloc" [ Tint ] (Tarray Tfloat) ~tm_safe:true ~thread_safe:true ~vclass:(Alloc "heap")
       ~spec:(rw_spec ~reads:[ "heap.alloc" ] ~writes:[ "heap.alloc" ] ~allocates:true ())
       (fun _ a ->
         let n = max 0 (iarg 0 a) in
         (Value.Varray (Array.make n (float_v 0.)), alloc_cost n +. 120.));
-    b "matrix_free" [ Tarray Tfloat ] Tvoid ~tm_safe:true ~thread_safe:true
+    b "matrix_free" [ Tarray Tfloat ] Tvoid ~tm_safe:true ~thread_safe:true ~vclass:(Alloc "heap")
       ~spec:(rw_spec ~reads:[ "heap.alloc" ] ~writes:[ "heap.alloc" ] ~reads_arrays:[ 0 ] ())
       (fun _ _ -> (int_v 0, 140.));
     (* ---- console and files ---- *)
-    b "print" [ Tstring ] Tvoid ~tm_safe:false
+    b "print" [ Tstring ] Tvoid ~tm_safe:false ~vclass:(Multiset "stdout")
       ~spec:(rw_spec ~reads:[ "io.stdout" ] ~writes:[ "io.stdout" ] ())
       ~thread_safe:true
       (fun m a ->
@@ -185,17 +233,18 @@ let registry : t list =
     (* each call mints a distinct descriptor: the result is a fresh
        handle ([allocates]), which lets the static differencer prove
        per-iteration streams distinct *)
-    b "fopen" [ Tstring ] Tint ~tm_safe:false
+    b "fopen" [ Tstring ] Tint ~tm_safe:false ~vclass:(Alloc "fd")
       ~spec:(rw_spec ~reads:[ "io.fdtable" ] ~writes:[ "io.fdtable" ] ~allocates:true ())
       ~thread_safe:true
       (fun m a -> (int_v (Machine.fopen m (sarg 0 a)), Costmodel.file_open_cost));
-    b "fclose" [ Tint ] Tvoid ~tm_safe:false
+    b "fclose" [ Tint ] Tvoid ~tm_safe:false ~vclass:(Alloc "fd")
       ~spec:(rw_spec ~reads:[ "io.fdtable" ] ~writes:[ "io.fdtable" ] ())
       ~thread_safe:true
       (fun m a ->
         Machine.fclose m (iarg 0 a);
         (int_v 0, Costmodel.file_close_cost));
-    b "fread" [ Tint; Tint ] Tstring ~tm_safe:false
+    b "fread" [ Tint; Tint ] Tstring ~tm_safe:false ~vclass:(Cursor "stream")
+      ~key:([ "io.stream.in" ], 0)
       ~spec:
         (rw_spec
            ~reads:[ "io.stream.in"; "io.disk" ]
@@ -207,15 +256,16 @@ let registry : t list =
       (fun m a ->
         let s = Machine.fread m (iarg 0 a) (iarg 1 a) in
         (string_v s, Costmodel.file_read_base +. (Costmodel.per_byte *. float_of_int (String.length s))));
-    b "fsize" [ Tint ] Tint ~tm_safe:false
+    b "fsize" [ Tint ] Tint ~tm_safe:false ~key:([ "io.stream.in" ], 0)
       ~spec:(rw_spec ~reads:[ "io.stream.in" ] ())
       ~thread_safe:true
       (fun m a -> (int_v (Machine.fsize m (iarg 0 a)), 40.));
-    b "feof" [ Tint ] Tbool ~tm_safe:false
+    b "feof" [ Tint ] Tbool ~tm_safe:false ~key:([ "io.stream.in" ], 0)
       ~spec:(rw_spec ~reads:[ "io.stream.in" ] ())
       ~thread_safe:true
       (fun m a -> (bool_v (Machine.feof m (iarg 0 a)), 20.));
-    b "fwrite" [ Tint; Tstring ] Tvoid ~tm_safe:false
+    b "fwrite" [ Tint; Tstring ] Tvoid ~tm_safe:false ~vclass:(Multiset "stream")
+      ~key:([ "io.stream.out" ], 0)
       ~spec:(rw_spec ~reads:[ "io.stream.out"; "io.disk" ] ~writes:[ "io.stream.out" ] ())
       ~thread_safe:true
       (fun m a ->
@@ -223,123 +273,113 @@ let registry : t list =
         Machine.fwrite m (iarg 0 a) s;
         (int_v 0, Costmodel.file_write_base +. (Costmodel.write_per_byte *. float_of_int (String.length s))));
     (* ---- RNG ---- *)
-    b "rng_int" [ Tint ] Tint ~thread_safe:true
+    b "rng_int" [ Tint ] Tint ~thread_safe:true ~exec:Ordered ~vclass:Rng
       ~spec:(rw_spec ~reads:[ "rng" ] ~writes:[ "rng" ] ())
       (fun m a -> (int_v (Machine.rng_int m (iarg 0 a)), Costmodel.rng_cost));
-    b "rng_range" [ Tint; Tint ] Tint ~thread_safe:true
+    b "rng_range" [ Tint; Tint ] Tint ~thread_safe:true ~exec:Ordered ~vclass:Rng
       ~spec:(rw_spec ~reads:[ "rng" ] ~writes:[ "rng" ] ())
       (fun m a ->
         let lo = iarg 0 a and hi = iarg 1 a in
         let v = if hi <= lo then lo else lo + Machine.rng_int m (hi - lo) in
         (int_v v, Costmodel.rng_cost));
-    b "rng_float" [] Tfloat ~thread_safe:true
+    b "rng_float" [] Tfloat ~thread_safe:true ~exec:Ordered ~vclass:Rng
       ~spec:(rw_spec ~reads:[ "rng" ] ~writes:[ "rng" ] ())
       (fun m _ -> (float_v (Machine.rng_float m), Costmodel.rng_cost));
-    b "rng_gauss" [] Tfloat ~thread_safe:true
+    b "rng_gauss" [] Tfloat ~thread_safe:true ~exec:Ordered ~vclass:Rng
       ~spec:(rw_spec ~reads:[ "rng" ] ~writes:[ "rng" ] ())
       (fun m _ ->
         let u1 = max 1e-9 (Machine.rng_float m) and u2 = Machine.rng_float m in
         (float_v (sqrt (-2. *. log u1) *. cos (6.2831853 *. u2)), Costmodel.rng_cost *. 2.));
-    b "rng_reseed" [ Tint ] Tvoid ~thread_safe:true
+    b "rng_reseed" [ Tint ] Tvoid ~thread_safe:true ~exec:Ordered ~vclass:Overwrite
       ~spec:(rw_spec ~writes:[ "rng" ] ())
       (fun m a ->
         Machine.rng_reseed m (iarg 0 a);
         (int_v 0, Costmodel.rng_cost));
     (* ---- histogram ---- *)
-    b "hist_add" [ Tfloat ] Tvoid
+    update "hist_add" [ Tfloat ] ~family:"hist" ~vclass:(Accum "histogram")
       ~spec:(rw_spec ~reads:[ "hist" ] ~writes:[ "hist" ] ())
-      (fun m a ->
-        Machine.hist_add m (farg 0 a);
-        (int_v 0, Costmodel.hist_cost));
-    b "hist_summary" [] Tstring
+      ~cost:(fun _ -> Costmodel.hist_cost)
+      (fun m a -> Machine.hist_add m (farg 0 a));
+    b "hist_summary" [] Tstring ~family:(Reader "hist")
       ~spec:(rw_spec ~reads:[ "hist" ] ())
       (fun m _ -> (string_v (Machine.hist_summary m), 60.));
     (* ---- vector ---- *)
-    b "vec_push" [ Tstring ] Tvoid
+    update "vec_push" [ Tstring ] ~family:"vec" ~vclass:(Multiset "vector")
       ~spec:(rw_spec ~reads:[ "vec" ] ~writes:[ "vec" ] ())
-      (fun m a ->
-        Machine.vec_push m (sarg 0 a);
-        (int_v 0, Costmodel.collection_op_cost));
-    b "vec_size" [] Tint
+      ~cost:(fun _ -> Costmodel.collection_op_cost)
+      (fun m a -> Machine.vec_push m (sarg 0 a));
+    b "vec_size" [] Tint ~family:(Reader "vec")
       ~spec:(rw_spec ~reads:[ "vec" ] ())
       (fun m _ -> (int_v (Machine.vec_size m), 4.));
-    b "vec_get" [ Tint ] Tstring
+    b "vec_get" [ Tint ] Tstring ~family:(Reader "vec")
       ~spec:(rw_spec ~reads:[ "vec" ] ())
       (fun m a -> (string_v (Machine.vec_get m (iarg 0 a)), 6.));
     (* ---- bitmaps ---- *)
-    b "bm_new" [ Tint ] Tint ~thread_safe:true
+    b "bm_new" [ Tint ] Tint ~thread_safe:true ~exec:(Mutexed Bm_new) ~vclass:(Alloc "heap")
       ~spec:(rw_spec ~reads:[ "heap.alloc" ] ~writes:[ "heap.alloc" ] ())
       (fun m a -> (int_v (Machine.bm_new m (iarg 0 a)), 60. +. (0.05 *. float_of_int (iarg 0 a / 8))));
-    b "bm_free" [ Tint ] Tvoid ~thread_safe:true
+    b "bm_free" [ Tint ] Tvoid ~thread_safe:true ~exec:(Mutexed Bm_free) ~vclass:(Alloc "heap")
       ~spec:(rw_spec ~reads:[ "heap.alloc" ] ~writes:[ "heap.alloc" ] ())
       (fun m a ->
         Machine.bm_free m (iarg 0 a);
         (int_v 0, 40.));
-    b "bm_set" [ Tint; Tint ] Tvoid
-      ~spec:(rw_spec ~reads:[ "bm.data" ] ~writes:[ "bm.data" ] ())
-      (fun m a ->
-        Machine.bm_set m (iarg 0 a) (iarg 1 a);
-        (int_v 0, Costmodel.collection_op_cost));
-    b "bm_get" [ Tint; Tint ] Tbool
-      ~spec:(rw_spec ~reads:[ "bm.data" ] ())
-      (fun m a -> (bool_v (Machine.bm_get m (iarg 0 a) (iarg 1 a)), 8.));
+    bitmap Bm_set "bm_set" [ Tint; Tint ] Tvoid ~vclass:(Accum "bitmap-or")
+      ~spec:(rw_spec ~reads:[ "bm.data" ] ~writes:[ "bm.data" ] ());
+    bitmap Bm_get "bm_get" [ Tint; Tint ] Tbool ~spec:(rw_spec ~reads:[ "bm.data" ] ());
     (* ---- lists ---- *)
-    b "list_new" [] Tint ~thread_safe:true
+    b "list_new" [] Tint ~thread_safe:true ~vclass:(Alloc "heap")
       ~spec:(rw_spec ~reads:[ "heap.alloc" ] ~writes:[ "heap.alloc" ] ())
       (fun m _ -> (int_v (Machine.list_new m), 50.));
-    b "list_insert" [ Tint; Tint ] Tvoid
+    b "list_insert" [ Tint; Tint ] Tvoid ~vclass:(Multiset "list") ~key:([ "lst" ], 0)
       ~spec:(rw_spec ~reads:[ "lst" ] ~writes:[ "lst" ] ())
       (fun m a ->
         Machine.list_insert m (iarg 0 a) (iarg 1 a);
         (int_v 0, Costmodel.collection_op_cost));
-    b "list_contains" [ Tint; Tint ] Tbool
+    b "list_contains" [ Tint; Tint ] Tbool ~key:([ "lst" ], 0)
       ~spec:(rw_spec ~reads:[ "lst" ] ())
       (fun m a ->
         let l = Machine.list_lookup m (iarg 0 a) in
         (bool_v (List.mem (iarg 1 a) !l), 8. +. (0.4 *. float_of_int (List.length !l))));
-    b "list_size" [ Tint ] Tint
+    b "list_size" [ Tint ] Tint ~key:([ "lst" ], 0)
       ~spec:(rw_spec ~reads:[ "lst" ] ())
       (fun m a -> (int_v (Machine.list_size m (iarg 0 a)), 6.));
-    b "list_sum" [ Tint ] Tint
+    b "list_sum" [ Tint ] Tint ~key:([ "lst" ], 0)
       ~spec:(rw_spec ~reads:[ "lst" ] ())
       (fun m a -> (int_v (Machine.list_sum m (iarg 0 a)), 20.));
     (* ---- stats ---- *)
-    b "stat_add" [ Tfloat ] Tvoid
+    update "stat_add" [ Tfloat ] ~family:"stats" ~vclass:(Accum "statistics")
       ~spec:(rw_spec ~reads:[ "stats" ] ~writes:[ "stats" ] ())
-      (fun m a ->
-        Machine.stat_add m (farg 0 a);
-        (int_v 0, 16.));
-    b "stat_note_max" [ Tfloat ] Tvoid
+      ~cost:(fun _ -> 16.)
+      (fun m a -> Machine.stat_add m (farg 0 a));
+    update "stat_note_max" [ Tfloat ] ~family:"stats" ~vclass:(Accum "statistics")
       ~spec:(rw_spec ~reads:[ "stats" ] ~writes:[ "stats" ] ())
-      (fun m a ->
-        Machine.stat_note_max m (farg 0 a);
-        (int_v 0, 14.));
-    b "stat_summary" [] Tstring
+      ~cost:(fun _ -> 14.)
+      (fun m a -> Machine.stat_note_max m (farg 0 a));
+    b "stat_summary" [] Tstring ~family:(Reader "stats")
       ~spec:(rw_spec ~reads:[ "stats" ] ())
       (fun m _ -> (string_v (Machine.stat_summary m), 60.));
     (* ---- packets ---- *)
-    b "pkt_dequeue" [] Tint
+    b "pkt_dequeue" [] Tint ~exec:Ordered ~vclass:(Cursor "packet-queue")
       ~spec:(rw_spec ~reads:[ "pkt.pool" ] ~writes:[ "pkt.pool" ] ())
       (fun m _ -> (int_v (Machine.pkt_dequeue m), Costmodel.packet_dequeue_cost));
     b "pkt_url" [ Tint ] Tstring (fun m a -> (string_v (Machine.pkt_url m (iarg 0 a)), 10.));
     (* ---- database ---- *)
-    b "db_read" [] Tstring ~tm_safe:false
+    b "db_read" [] Tstring ~tm_safe:false ~exec:Ordered ~vclass:(Cursor "db")
       ~spec:(rw_spec ~reads:[ "db.cursor" ] ~writes:[ "db.cursor" ] ())
       (fun m _ ->
         let row = Machine.db_read m in
         (string_v row, Costmodel.db_read_cost +. (Costmodel.per_byte *. float_of_int (String.length row))));
     (* ---- log ---- *)
-    b "log_write" [ Tstring ] Tvoid ~thread_safe:true
+    update "log_write" [ Tstring ] ~thread_safe:true ~family:"log" ~vclass:(Multiset "log")
       ~spec:(rw_spec ~reads:[ "log" ] ~writes:[ "log" ] ())
-      (fun m a ->
-        let s = sarg 0 a in
-        Machine.log_write m s;
-        (int_v 0, Costmodel.log_write_base +. (Costmodel.per_byte *. float_of_int (String.length s))));
-    b "log_count" [] Tint
+      ~cost:(fun a ->
+        Costmodel.log_write_base +. (Costmodel.per_byte *. float_of_int (String.length (sarg 0 a))))
+      (fun m a -> Machine.log_write m (sarg 0 a));
+    b "log_count" [] Tint ~family:(Reader "log")
       ~spec:(rw_spec ~reads:[ "log" ] ())
       (fun m _ -> (int_v (Machine.log_count m), 6.));
     (* ---- list destruction (heap free-list, like bm_free) ---- *)
-    b "list_free" [ Tint ] Tvoid ~thread_safe:true
+    b "list_free" [ Tint ] Tvoid ~thread_safe:true ~vclass:(Alloc "heap")
       ~spec:(rw_spec ~reads:[ "heap.alloc" ] ~writes:[ "heap.alloc" ] ())
       (fun m a ->
         Hashtbl.remove m.Machine.lists (iarg 0 a);
@@ -353,10 +393,11 @@ let registry : t list =
         Buffer.add_string buf "</svg>";
         (string_v (Buffer.contents buf), 60. +. (4.5 *. float_of_int (String.length s))));
     (* ---- memoization cache (string registry) ---- *)
-    b "cache_get" [ Tstring ] Tstring ~thread_safe:true
+    b "cache_get" [ Tstring ] Tstring ~thread_safe:true ~key:([ "registry" ], 0)
       ~spec:(rw_spec ~reads:[ "registry" ] ())
       (fun m a -> (string_v (Machine.cache_get m (sarg 0 a)), 26.));
-    b "cache_put" [ Tstring; Tstring ] Tvoid ~thread_safe:true
+    b "cache_put" [ Tstring; Tstring ] Tvoid ~thread_safe:true ~vclass:Overwrite
+      ~key:([ "registry" ], 0)
       ~spec:(rw_spec ~reads:[ "registry" ] ~writes:[ "registry" ] ())
       (fun m a ->
         Machine.cache_put m (sarg 0 a) (sarg 1 a);
@@ -377,10 +418,10 @@ let registry : t list =
     b "graph_next" [ Tint ] Tint
       ~spec:(rw_spec ~reads:[ "graph.nodes" ] ())
       (fun m a -> (int_v (Machine.graph_next m (iarg 0 a)), 18.));
-    b "graph_set_neighbor" [ Tint; Tint; Tint ] Tvoid (fun m a ->
+    b "graph_set_neighbor" [ Tint; Tint; Tint ] Tvoid ~exec:(Mutexed No_alloc) (fun m a ->
         Machine.graph_set_neighbor m (iarg 0 a) (iarg 1 a) (iarg 2 a);
         (int_v 0, 22.));
-    b "graph_set_weight" [ Tint; Tint; Tfloat ] Tvoid (fun m a ->
+    b "graph_set_weight" [ Tint; Tint; Tfloat ] Tvoid ~exec:(Mutexed No_alloc) (fun m a ->
         Machine.graph_set_weight m (iarg 0 a) (iarg 1 a) (farg 2 a);
         (int_v 0, 22.));
     b "graph_summary" [] Tstring
@@ -409,7 +450,33 @@ let registry : t list =
         (int_v 0, 3.));
   ]
 
-let all : t list = List.mapi (fun id bi -> { bi with id }) registry
+(* Per-id cost scales of the applied calibration profile, [||] when
+   none is: the inactive path is one atomic load and no multiplication,
+   so charged costs stay bit-identical to an uncalibrated build, which
+   the byte-identical Table-1 tests rely on. *)
+let scales : float array Atomic.t = Atomic.make [||]
+
+let scale id c =
+  let s = Atomic.get scales in
+  if Array.length s = 0 then c else c *. Array.unsafe_get s id
+
+let scaled id ((v, c) as r) =
+  let s = Atomic.get scales in
+  if Array.length s = 0 then r else (v, c *. Array.unsafe_get s id)
+
+(* ids are assigned here, so every charged cost — the impl's and a
+   writer's buffered price — is scaled by its builtin's id *)
+let all : t list =
+  List.mapi
+    (fun id bi ->
+      let impl = bi.impl in
+      let family =
+        match bi.family with
+        | Writer (f, cost) -> Writer (f, fun a -> scale id (cost a))
+        | r -> r
+      in
+      { bi with id; family; impl = (fun m a -> scaled id (impl m a)) })
+    registry
 
 let table : (string, t) Hashtbl.t =
   let tbl = Hashtbl.create 64 in
@@ -423,13 +490,33 @@ let find_exn name =
   | Some bi -> bi
   | None -> Diag.error "unknown builtin '%s'" name
 
+let bitmap_on_payload bi bytes a =
+  match bi.exec with
+  | Bitmap op -> scaled bi.id (bitmap_call op bytes a)
+  | Plain | Mutexed _ | Ordered -> invalid_arg ("Builtins.bitmap_on_payload: " ^ bi.name)
+
+let cost_scale bi =
+  let s = Atomic.get scales in
+  if Array.length s = 0 then 1.0 else s.(bi.id)
+
+let set_cost_scales named =
+  let s = Array.make (List.length all) 1.0 in
+  let any = ref false in
+  List.iter
+    (fun (name, f) ->
+      match find name with
+      | Some bi when Float.is_finite f && f > 0. ->
+          s.(bi.id) <- f;
+          any := true
+      | _ -> ())
+    named;
+  Atomic.set scales (if !any then s else [||])
+
+let clear_cost_scales () = Atomic.set scales [||]
+
 (** Effect lookup for the analyses. *)
 let lookup_spec : Effects.lookup = fun name -> Option.map (fun bi -> bi.spec) (find name)
 
 (** Extern signatures for the type checker. *)
 let extern_sigs : Tc.extern_sig list =
   List.map (fun bi -> { Tc.xname = bi.name; xparams = bi.params; xret = bi.ret }) all
-
-(** Abstract resources a builtin touches (for Lib-mode locking). *)
-let resources bi =
-  Commset_support.Listx.uniq (bi.spec.Effects.bs_reads @ bi.spec.Effects.bs_writes)

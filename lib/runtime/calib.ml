@@ -205,8 +205,8 @@ let load ~workload =
 
 let apply p =
   Costmodel.set_exec_ns_per_cycle p.p_ns_per_cycle;
-  Costmodel.set_builtin_cost_scales (List.map (fun b -> (b.cb_name, b.cb_scale)) p.p_builtins)
+  Builtins.set_cost_scales (List.map (fun b -> (b.cb_name, b.cb_scale)) p.p_builtins)
 
 let clear () =
-  Costmodel.clear_builtin_cost_scales ();
+  Builtins.clear_cost_scales ();
   Costmodel.reset_exec_ns_per_cycle ()

@@ -1,5 +1,6 @@
 (** Persisted per-workload calibration profiles: the feedback loop from
-    measured execution attribution back into {!Costmodel}.
+    measured execution attribution back into {!Costmodel} and the
+    builtin registry's cost scales.
 
     The real engine's attribution summary measures (a) how many
     nanoseconds of wall time one simulated cycle of loop-body work
@@ -10,7 +11,7 @@
     {!save} persists it as JSON under [$COMMSET_CALIB_DIR] (default
     [_build/calib]); {!apply} feeds a loaded profile into
     [Costmodel.set_exec_ns_per_cycle] and
-    [Costmodel.set_builtin_cost_scales].
+    [Builtins.set_cost_scales].
 
     Calibration is strictly opt-in ([commsetc run/stat --calibrate], the
     bench harness's ["exec_profile"] leg): nothing is loaded or applied
@@ -71,9 +72,9 @@ val save : profile -> (string, string) result
 (** Load the persisted profile for a workload from {!dir}. *)
 val load : workload:string -> (profile, string) result
 
-(** Install the profile into {!Costmodel}: [p_ns_per_cycle] via
-    [set_exec_ns_per_cycle] and the builtin scales via
-    [set_builtin_cost_scales]. *)
+(** Install the profile: [p_ns_per_cycle] via
+    [Costmodel.set_exec_ns_per_cycle] and the builtin scales via
+    [Builtins.set_cost_scales]. *)
 val apply : profile -> unit
 
 (** Undo {!apply}: builtin scales cleared, [exec_ns_per_cycle] back to

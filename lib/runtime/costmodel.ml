@@ -118,46 +118,6 @@ let exec_ns_per_cycle () =
 let set_exec_ns_per_cycle v = Atomic.set exec_ns_per_cycle_cell (Float.max 0. v)
 let reset_exec_ns_per_cycle () = Atomic.set exec_ns_per_cycle_cell (-1.0)
 
-(* --- calibration: per-builtin cost scale factors ----------------------- *)
-
-(* Populated by Calib.apply from a measured execution profile; builtin
-   registration (Builtins) multiplies each call's charged cost by
-   [builtin_cost_scale name]. The active flag keeps the inactive path a
-   single atomic load with no table lookup, and — because the scale is
-   then exactly 1.0 and the multiplication skipped — charged costs are
-   bit-identical to an uncalibrated build, which the byte-identical
-   Table-1 tests rely on. The table is only mutated between runs (by the
-   coordinator); workers do concurrent lookups on a quiescent table. *)
-let builtin_scale_active = Atomic.make false
-let builtin_scale_tbl : (string, float) Hashtbl.t = Hashtbl.create 16
-let builtin_scale_lock = Mutex.create ()
-
-let builtin_cost_scale name =
-  if not (Atomic.get builtin_scale_active) then 1.0
-  else match Hashtbl.find_opt builtin_scale_tbl name with Some s -> s | None -> 1.0
-
-let set_builtin_cost_scales scales =
-  Mutex.lock builtin_scale_lock;
-  Hashtbl.reset builtin_scale_tbl;
-  List.iter
-    (fun (name, s) ->
-      if Float.is_finite s && s > 0. then Hashtbl.replace builtin_scale_tbl name s)
-    scales;
-  Atomic.set builtin_scale_active (Hashtbl.length builtin_scale_tbl > 0);
-  Mutex.unlock builtin_scale_lock
-
-let clear_builtin_cost_scales () =
-  Mutex.lock builtin_scale_lock;
-  Hashtbl.reset builtin_scale_tbl;
-  Atomic.set builtin_scale_active false;
-  Mutex.unlock builtin_scale_lock
-
-let builtin_cost_scales () =
-  Mutex.lock builtin_scale_lock;
-  let l = Hashtbl.fold (fun k v acc -> (k, v) :: acc) builtin_scale_tbl [] in
-  Mutex.unlock builtin_scale_lock;
-  List.sort compare l
-
 (* Busy-wait tuning for the executor's adaptive backoff (Commset_exec.Spin)
    lives here, next to the simulator's handoff constants, so retuning the
    real backend never requires a recompile: COMMSET_SPIN_ROUNDS and

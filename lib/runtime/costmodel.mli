@@ -63,33 +63,6 @@ val set_exec_ns_per_cycle : float -> unit
     loaded calibration profile. *)
 val reset_exec_ns_per_cycle : unit -> unit
 
-(** {2 Calibration: measured per-builtin cost scales}
-
-    A calibration profile ({!Calib}) rescales each builtin's charged
-    cycle cost by a measured factor. Precedence, strongest first:
-    explicit [set_*] calls (including [Calib.apply]), then environment
-    variables, then the built-in defaults. Calibration is strictly
-    opt-in: with no profile applied, [builtin_cost_scale] is exactly
-    [1.0], the multiplication is skipped, and all charged costs (and
-    therefore the paper tables) are byte-identical to an uncalibrated
-    build. *)
-
-(** The cost multiplier for one builtin; [1.0] unless a profile with a
-    scale for this name is active. Lock-free on the inactive path;
-    concurrent lookups are safe while no profile is being (un)applied. *)
-val builtin_cost_scale : string -> float
-
-(** Replace the active scale set ([(builtin name, factor)] pairs;
-    non-finite or non-positive factors are dropped). An empty list
-    deactivates calibration, like {!clear_builtin_cost_scales}. Only
-    call between runs — never while worker domains are executing. *)
-val set_builtin_cost_scales : (string * float) list -> unit
-
-val clear_builtin_cost_scales : unit -> unit
-
-(** The active scale set, sorted by name ([[]] when inactive). *)
-val builtin_cost_scales : unit -> (string * float) list
-
 (** Spin rounds the executor's adaptive backoff burns with
     [Domain.cpu_relax] before it starts yielding to the OS scheduler.
     Initialized from [COMMSET_SPIN_ROUNDS] (default 200) on first read;

@@ -199,6 +199,7 @@ let vec_get m i =
 (* --- bitmaps ------------------------------------------------------------ *)
 
 let bm_new m nbits =
+  if nbits < 0 then Diag.error "runtime: bitmap size %d out of range" nbits;
   let id = m.next_bitmap in
   m.next_bitmap <- id + 1;
   m.live_bitmaps <- m.live_bitmaps + 1;
@@ -210,17 +211,22 @@ let bm_lookup m id =
   | Some b -> b
   | None -> Diag.error "runtime: unknown bitmap %d" id
 
-let bm_set m id key =
-  let b = bm_lookup m id in
-  let byte = key / 8 and bit = key mod 8 in
-  if byte < 0 || byte >= Bytes.length b then Diag.error "runtime: bitmap key %d out of range" key;
-  Bytes.set b byte (Char.chr (Char.code (Bytes.get b byte) lor (1 lsl bit)))
+let bm_bit b key ~set =
+  let byte = key lsr 3 in
+  if key < 0 || (set && byte >= Bytes.length b) then
+    Diag.error "runtime: bitmap key %d out of range" key;
+  if byte >= Bytes.length b then false
+  else begin
+    let c = Char.code (Bytes.get b byte) and mask = 1 lsl (key land 7) in
+    if set then begin
+      Bytes.set b byte (Char.chr (c lor mask));
+      true
+    end
+    else c land mask <> 0
+  end
 
-let bm_get m id key =
-  let b = bm_lookup m id in
-  let byte = key / 8 and bit = key mod 8 in
-  if byte < 0 || byte >= Bytes.length b then false
-  else Char.code (Bytes.get b byte) land (1 lsl bit) <> 0
+let bm_set m id key = ignore (bm_bit (bm_lookup m id) key ~set:true)
+let bm_get m id key = bm_bit (bm_lookup m id) key ~set:false
 
 let bm_free m id =
   if Hashtbl.mem m.bitmaps id then begin

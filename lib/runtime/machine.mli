@@ -76,6 +76,16 @@ val vec_get : t -> int -> string
 
 (* bitmaps *)
 val bm_new : t -> int -> int
+
+(** The payload of a live bitmap handle. *)
+val bm_lookup : t -> int -> Bytes.t
+
+(** One bit of a bitmap payload, the bit math every bitmap path shares:
+    [~set:true] sets bit [key] and returns [true]; [~set:false] reads it.
+    A negative key raises the [bitmap key ... out of range] diagnostic,
+    as does setting past the end; reading past the end reads [false]. *)
+val bm_bit : Bytes.t -> int -> set:bool -> bool
+
 val bm_set : t -> int -> int -> unit
 val bm_get : t -> int -> int -> bool
 val bm_free : t -> int -> unit

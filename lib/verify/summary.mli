@@ -9,25 +9,19 @@ module Ir = Commset_ir.Ir
 module Effects = Commset_analysis.Effects
 module Metadata = Commset_core.Metadata
 
-(** How a write combines with a concurrent write to the same location. *)
-type opclass =
-  | Accum of string  (** commutative-associative accumulation *)
-  | Multiset of string  (** append to an order-insensitive sink *)
-  | Alloc of string  (** allocator bump; equal up to handle renaming *)
-  | Cursor of string  (** shared-cursor advance; drawn values exchanged *)
-  | Rng  (** pseudo-random stream draw *)
+(** How a write combines with a concurrent write to the same location;
+    builtins declare theirs on their registry record. *)
+type opclass = Effects.opclass =
+  | Accum of string
+  | Multiset of string
+  | Alloc of string
+  | Cursor of string
+  | Rng
   | Advance of string
-      (** deterministic self-update [g = f(g)] of one global: both
-          orders leave [f(f(g))], per-instance results exchanged *)
-  | Overwrite  (** last-writer-wins store *)
-  | Opaque of string  (** no algebraic structure known *)
+  | Overwrite
+  | Opaque of string
 
 val opclass_to_string : opclass -> string
-val builtin_class : string -> opclass
-
-(** Resources of a builtin partitioned by one of its arguments, as
-    [(resource names, key argument index)]. *)
-val builtin_key : string -> (string list * int) option
 
 (** One abstract-store access of a member. *)
 type access = {

@@ -13,6 +13,7 @@ module Registry = Commset_workloads.Registry
 module T = Commset_transforms
 module Costmodel = Commset_runtime.Costmodel
 module Calib = Commset_runtime.Calib
+module Builtins = Commset_runtime.Builtins
 module Exec = Commset_exec.Exec
 module Attrib = Commset_obs.Attrib
 module Json = Commset_obs.Json_strict
@@ -247,13 +248,13 @@ let test_calib_apply_clear () =
           check (Alcotest.float 1e-9)
             (Printf.sprintf "apply installs scale for %s" b.Calib.cb_name)
             b.Calib.cb_scale
-            (Costmodel.builtin_cost_scale b.Calib.cb_name))
+            (Builtins.cost_scale (Builtins.find_exn b.Calib.cb_name)))
         p.Calib.p_builtins;
       Calib.clear ();
       check (Alcotest.float 0.) "clear deactivates builtin scales" 1.0
-        (Costmodel.builtin_cost_scale "fread");
+        (Builtins.cost_scale (Builtins.find_exn "fread"));
       check Alcotest.bool "clear empties the scale table" true
-        (Costmodel.builtin_cost_scales () = []))
+        (List.for_all (fun bi -> Builtins.cost_scale bi = 1.0) Builtins.all))
 
 let test_calib_missing () =
   with_calib_dir (fun _ ->

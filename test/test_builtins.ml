@@ -5,6 +5,7 @@
 module L = Commset_lang
 module R = Commset_runtime
 module Effects = Commset_analysis.Effects
+module Value = Commset_runtime.Value
 
 let check = Alcotest.check
 
@@ -168,6 +169,49 @@ void main() {
     [ "deterministic"; "in-range"; "hist n=2 mean=1.0000" ]
     out
 
+(* ---- bitmap bounds ---- *)
+
+(* Negative bitmap keys and sizes are runtime diagnostics, not host
+   exceptions, on every path that executes a bitmap call: the reference
+   interpreter, the prepared fast path, and the payload call a real
+   engine worker makes on a bitmap its iteration allocated. *)
+let test_bitmap_bounds () =
+  let expect_diag what want f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Commset_support.Diag.Error d ->
+        check Alcotest.string what want d.Commset_support.Diag.message
+  in
+  let prepared src =
+    let ast = L.Parser.parse_program ~file:"<test>" src in
+    let _ = L.Typecheck.check ~externs:R.Builtins.extern_sigs ast in
+    let prepared = R.Precompile.prepare (Commset_ir.Lower.lower_program ast) in
+    ignore
+      (R.Precompile.run_main (R.Precompile.executor ~machine:(R.Machine.create ()) prepared))
+  in
+  let bad_key = "void main() { int h = bm_new(64); bm_set(h, -3); }" in
+  let bad_get = "void main() { int h = bm_new(64); if (bm_get(h, -3)) { print(\"set\"); } }" in
+  let bad_size = "void main() { int h = bm_new(-20); bm_free(h); }" in
+  let key_msg = "runtime: bitmap key -3 out of range" in
+  let size_msg = "runtime: bitmap size -20 out of range" in
+  List.iter
+    (fun (path, run) ->
+      expect_diag (path ^ ": bm_set key") key_msg (fun () -> run bad_key);
+      expect_diag (path ^ ": bm_get key") key_msg (fun () -> run bad_get);
+      expect_diag (path ^ ": bm_new size") size_msg (fun () -> run bad_size))
+    [ ("interpreter", fun src -> ignore (run_src src)); ("fast path", prepared) ];
+  let bi name = R.Builtins.find_exn name in
+  let payload = Bytes.make 8 '\000' in
+  let call name key = R.Builtins.bitmap_on_payload (bi name) payload [ Value.Vint 1; Value.Vint key ] in
+  expect_diag "private payload: bm_set key" key_msg (fun () -> call "bm_set" (-3));
+  expect_diag "private payload: bm_get key" key_msg (fun () -> call "bm_get" (-3));
+  (* in range, and reading past the end, behave as before *)
+  ignore (call "bm_set" 63);
+  check Alcotest.bool "bit 63 set" true (fst (call "bm_get" 63) = Value.Vbool true);
+  check Alcotest.bool "bit 64 reads unset" true (fst (call "bm_get" 64) = Value.Vbool false);
+  expect_diag "private payload: bm_set past the end" "runtime: bitmap key 64 out of range"
+    (fun () -> call "bm_set" 64)
+
 let suite =
   ( "builtins",
     [
@@ -179,4 +223,5 @@ let suite =
       Alcotest.test_case "array builtins" `Quick test_array_builtins;
       Alcotest.test_case "collections via miniC" `Quick test_collections_via_program;
       Alcotest.test_case "rng and histogram" `Quick test_rng_and_hist;
+      Alcotest.test_case "bitmap bounds on every path" `Quick test_bitmap_bounds;
     ] )

@@ -1,11 +1,11 @@
 (** Tests for the real-execution engine specifically: the differential
     suite pins [~engine:Real_engine] and asserts that every workload's
-    every executable plan actually ran on the real engine (no silent
-    burn fallback) and matched the sequential reference at jobs 1, 2
-    and 4; a qcheck property establishes that the commutative-update
-    merge is insensitive to how iterations were distributed over
-    workers; a burn-vs-real cross-check runs both engines on the same
-    compilation; and the per-run builtin policy table is pinned. *)
+    every executable plan actually ran on the real engine and matched
+    the sequential reference at jobs 1, 2 and 4; a qcheck property
+    establishes that the commutative-update merge is insensitive to how
+    iterations were distributed over workers; the per-run builtin policy
+    table is pinned; and a buffered update is priced exactly like its
+    impl under a calibration scale. *)
 
 module P = Commset_pipeline.Pipeline
 module W = Commset_workloads.Workload
@@ -16,7 +16,6 @@ module Exec = Commset_exec.Exec
 module Realexec = Commset_exec.Realexec
 module R = Commset_runtime
 module Pdg = Commset_pdg.Pdg
-module Effects = Commset_analysis.Effects
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
@@ -25,11 +24,12 @@ let qcheck = QCheck_alcotest.to_alcotest
 
 let test_engine_names () =
   check Alcotest.string "real" "real" (Exec.engine_name Exec.Real_engine);
-  check Alcotest.string "burn" "burn" (Exec.engine_name Exec.Burn_engine);
+  check Alcotest.string "codegen" "codegen" (Exec.engine_name Exec.Codegen_engine);
   check Alcotest.bool "of_string real" true
     (Exec.engine_of_string "real" = Some Exec.Real_engine);
-  check Alcotest.bool "of_string burn" true
-    (Exec.engine_of_string "burn" = Some Exec.Burn_engine);
+  check Alcotest.bool "of_string codegen" true
+    (Exec.engine_of_string "codegen" = Some Exec.Codegen_engine);
+  check Alcotest.bool "of_string burn" true (Exec.engine_of_string "burn" = None);
   check Alcotest.bool "of_string junk" true (Exec.engine_of_string "tm" = None);
   check Alcotest.bool "default_jobs >= 1" true (Exec.default_jobs () >= 1)
 
@@ -102,7 +102,7 @@ let test_policy_table () =
   let c = P.compile ~name:"policy" buffering_loop in
   let pdg = c.P.target.P.pdg in
   let buffered =
-    Effects.bufferable_updates
+    Realexec.bufferable_updates
       (R.Precompile.program c.P.prepared)
       pdg.Pdg.func pdg.Pdg.loop.Commset_analysis.Loops.body
   in
@@ -122,7 +122,9 @@ let test_policy_table () =
   List.iter (expect "buffered") [ "stat_add"; "hist_add"; "vec_push"; "log_write" ];
   expect "plain" "int_to_string";
   (* outside a qualifying loop the same writers are machine-mutexed *)
-  let unbuffered = Realexec.policies ~buffered:(Hashtbl.create 1) in
+  let unbuffered =
+    Realexec.policies ~buffered:(Array.make (List.length R.Builtins.all) false)
+  in
   List.iter
     (fun name ->
       check Alcotest.string (name ^ " without buffering") "mutexed"
@@ -136,6 +138,11 @@ let real_all_plans (w : W.t) () =
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
   List.iter
     (fun jobs ->
+      let plans = P.executable_plans c ~threads:jobs in
+      if jobs > 1 then
+        check Alcotest.bool
+          (Printf.sprintf "executable plans exist at %d jobs" jobs)
+          true (plans <> []);
       List.iter
         (fun (plan : T.Plan.t) ->
           let x = P.run_parallel ~engine:Exec.Real_engine ~jobs c plan in
@@ -151,7 +158,7 @@ let real_all_plans (w : W.t) () =
                plan.T.Plan.label jobs)
             true
             (x.P.xstats.Exec.x_iterations > 0))
-        (P.executable_plans c ~threads:jobs))
+        plans)
     [ 1; 2; 4 ]
 
 let differential_cases =
@@ -162,38 +169,37 @@ let differential_cases =
         `Quick (real_all_plans w))
     Registry.all
 
-(* ---- burn vs real on one compilation ---- *)
+(* ---- buffered cost under calibration ---- *)
 
-let test_burn_vs_real () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
-  let w = Option.get (Registry.find "md5sum") in
-  let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
-  match P.executable_plans c ~threads:2 with
-  | [] -> Alcotest.fail "no executable plan at 2 jobs"
-  | plan :: _ ->
-      let real = P.run_parallel ~engine:Exec.Real_engine ~jobs:2 c plan in
-      let burn = P.run_parallel ~engine:Exec.Burn_engine ~jobs:2 c plan in
-      check Alcotest.string "real engine ran" "real" real.P.xstats.Exec.x_engine;
-      check Alcotest.string "burn engine ran" "burn" burn.P.xstats.Exec.x_engine;
-      check Alcotest.bool "real matches reference" true
-        (real.P.xfidelity <> P.Mismatch);
-      check Alcotest.bool "burn matches reference" true
-        (burn.P.xfidelity <> P.Mismatch);
-      (* both engines must agree with the same sequential reference, so
-         their sorted output multisets agree with each other too *)
-      let sorted l = List.sort String.compare l in
-      check
-        Alcotest.(list string)
-        "burn and real output multisets agree"
-        (sorted burn.P.xstats.Exec.x_outputs)
-        (sorted real.P.xstats.Exec.x_outputs)
+(* A buffered writer's price and its impl's charge come from one cost
+   function, so an applied calibration scale reaches both. *)
+let test_buffered_cost_scaled () =
+  let stat_add = R.Builtins.find_exn "stat_add" in
+  let buffered = Array.make (List.length R.Builtins.all) false in
+  buffered.(stat_add.R.Builtins.id) <- true;
+  let argv = [ R.Value.Vfloat 1.5 ] in
+  let charged () =
+    let cost =
+      match (Realexec.policies ~buffered).(stat_add.R.Builtins.id) with
+      | Realexec.Buffered cost -> cost argv
+      | p -> Alcotest.failf "stat_add is %s, not buffered" (policy_name p)
+    in
+    (cost, snd (stat_add.R.Builtins.impl (R.Machine.create ()) argv))
+  in
+  let plain_buf, plain_impl = charged () in
+  check (Alcotest.float 0.) "unscaled: buffered = impl" plain_impl plain_buf;
+  Fun.protect ~finally:R.Builtins.clear_cost_scales (fun () ->
+      R.Builtins.set_cost_scales [ ("stat_add", 2.0) ];
+      let buf, impl = charged () in
+      check (Alcotest.float 0.) "scaled impl doubles" (2.0 *. plain_impl) impl;
+      check (Alcotest.float 0.) "scaled: buffered = impl" impl buf)
 
 let suite =
   ( "realexec",
     [
       Alcotest.test_case "engine names and defaults" `Quick test_engine_names;
       qcheck prop_merge_order_insensitive;
-      Alcotest.test_case "burn vs real agree on md5sum" `Quick test_burn_vs_real;
       Alcotest.test_case "builtin policy table" `Quick test_policy_table;
+      Alcotest.test_case "buffered cost follows calibration" `Quick test_buffered_cost_scaled;
     ]
     @ differential_cases )
