@@ -169,6 +169,40 @@ void main() {
     [ "deterministic"; "in-range"; "hist n=2 mean=1.0000" ]
     out
 
+(* ---- argument decoding diagnostics ---- *)
+
+(* A wrong-typed builtin argument is a runtime diagnostic naming its
+   position and the expected type, byte for byte; a missing one is the
+   list exception it always was. Float and array parameters only ever
+   sit at positions 0 and 2 in the registry, so those kinds are pinned
+   there. *)
+let test_argument_diagnostics () =
+  let call name args = ignore ((R.Builtins.find_exn name).R.Builtins.impl (R.Machine.create ()) args) in
+  let expect what want name args =
+    match call name args with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Commset_support.Diag.Error d ->
+        check Alcotest.string what want d.Commset_support.Diag.message
+  in
+  let i n = Value.Vint n and f x = Value.Vfloat x and s x = Value.Vstring x in
+  let arr = Value.Varray [| f 0.; f 1. |] in
+  expect "int at 0" "runtime: argument 0 is not an int" "imin" [ s "x"; i 1 ];
+  expect "int at 1" "runtime: argument 1 is not an int" "imin" [ i 1; f 2. ];
+  expect "string at 0" "runtime: argument 0 is not a string" "str_find" [ i 1; s "a" ];
+  expect "string at 1" "runtime: argument 1 is not a string" "str_find" [ s "a"; arr ];
+  expect "float at 0" "runtime: argument 0 is not a float" "fsqrt" [ i 4 ];
+  expect "float at 2" "runtime: argument 2 is not a float" "aset_f" [ arr; i 0; s "x" ];
+  expect "array at 0" "runtime: argument 0 is not an array" "alen_f" [ f 1. ];
+  expect "array at 0 (afill)" "runtime: argument 0 is not an array" "afill_f"
+    [ s "x"; i 1; i 2 ];
+  (* the well-typed calls go through *)
+  call "imin" [ i 1; i 2 ];
+  call "aset_f" [ arr; i 0; f 3. ];
+  check Alcotest.bool "aset_f stored" true (arr = Value.Varray [| f 3.; f 1. |]);
+  (match call "imin" [ i 1 ] with
+  | () -> Alcotest.fail "imin with one argument: accepted"
+  | exception Failure m -> check Alcotest.string "missing argument" "nth" m)
+
 (* ---- bitmap bounds ---- *)
 
 (* Negative bitmap keys and sizes are runtime diagnostics, not host
@@ -224,4 +258,5 @@ let suite =
       Alcotest.test_case "collections via miniC" `Quick test_collections_via_program;
       Alcotest.test_case "rng and histogram" `Quick test_rng_and_hist;
       Alcotest.test_case "bitmap bounds on every path" `Quick test_bitmap_bounds;
+      Alcotest.test_case "argument type diagnostics" `Quick test_argument_diagnostics;
     ] )
