@@ -700,6 +700,9 @@ type rtarget = {
 
 let rtarget_backbone rt = rt.rt_backbone
 let rtarget_nids rt = rt.rt_nids
+
+let rtarget_map_nids rt f =
+  { rt with rt_nids = Array.map (Array.map (fun nid -> if nid < 0 then nid else f nid)) rt.rt_nids }
 let rtarget_nregs rt = rt.rt_pf.pf_nregs
 let rtarget_fname rt = rt.rt_fname
 

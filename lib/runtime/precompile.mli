@@ -91,6 +91,12 @@ val rtarget_backbone : rtarget -> int list
     it. *)
 val rtarget_nids : rtarget -> int array array
 
+(** The same target with every node id [nid >= 0] of the node map
+    replaced by [f nid] (a fresh map; the original is unchanged). The
+    real engine maps nodes whose entry and exit do nothing to [-1], so
+    workers see no transition at them. *)
+val rtarget_map_nids : rtarget -> (int -> int) -> rtarget
+
 val rtarget_nregs : rtarget -> int
 val rtarget_fname : rtarget -> string
 
