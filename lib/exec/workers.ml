@@ -1,9 +1,81 @@
-(** Persistent warm worker-domain pool; see the interface for the
-    architecture. *)
+(** Warm worker domains: leased single tasks and the persistent serve
+    pool; see the interface for the architecture. *)
 
-let src_log = Logs.Src.create "commset.workers" ~doc:"Warm serve worker pool"
+module Metrics = Commset_obs.Metrics
+
+let src_log = Logs.Src.create "commset.workers" ~doc:"Warm worker domains"
 
 module Log = (val Logs.src_log src_log : Logs.LOG)
+
+(* ------------------------------------------------------------------ *)
+(* Leased domains                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let m_spawned =
+  Metrics.counter ~doc:"domains spawned for leased tasks (process lifetime)"
+    "exec.domains_spawned"
+
+type lease = {
+  mutable finished : bool;
+  mutable failure : exn option;
+  done_ : Condition.t;
+}
+
+(* A leased domain's mailbox: the task it runs next, [None] while
+   parked. *)
+type parked = { wake : Condition.t; mutable job : ((unit -> unit) * lease) option }
+
+(* One lock guards the idle set, every mailbox and every lease. *)
+let lock = Mutex.create ()
+let idle : parked list ref = ref []
+
+(* Run a task, record its outcome, park again, all without giving up
+   the domain: completion and re-parking happen in one critical
+   section, so a caller that awaits and leases again finds this domain
+   idle instead of spawning another. *)
+let leased_main (p : parked) () =
+  Mutex.lock lock;
+  while true do
+    match p.job with
+    | None -> Condition.wait p.wake lock
+    | Some (f, l) ->
+        p.job <- None;
+        Mutex.unlock lock;
+        let failure = match f () with () -> None | exception e -> Some e in
+        Mutex.lock lock;
+        l.failure <- failure;
+        l.finished <- true;
+        Condition.broadcast l.done_;
+        idle := p :: !idle
+  done
+
+let lease f =
+  let l = { finished = false; failure = None; done_ = Condition.create () } in
+  Mutex.lock lock;
+  (match !idle with
+  | p :: rest ->
+      idle := rest;
+      p.job <- Some (f, l);
+      Condition.signal p.wake;
+      Mutex.unlock lock
+  | [] ->
+      Mutex.unlock lock;
+      Metrics.incr m_spawned;
+      let p = { wake = Condition.create (); job = Some (f, l) } in
+      ignore (Domain.spawn (leased_main p) : unit Domain.t));
+  l
+
+let await l =
+  Mutex.lock lock;
+  while not l.finished do
+    Condition.wait l.done_ lock
+  done;
+  Mutex.unlock lock;
+  match l.failure with Some e -> raise e | None -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Serve pool                                                          *)
+(* ------------------------------------------------------------------ *)
 
 type task = Run of (unit -> unit) | Quit
 

@@ -1,6 +1,21 @@
-(** A persistent warm pool of worker domains for request serving: the
-    domains are spawned once and reused for every task until
-    {!shutdown} — never re-created per request.
+(** Warm worker domains, in two shapes.
+
+    {b Leased domains} ({!lease}, {!await}) run the real engine's
+    per-run workers. A process-wide set of parked domains serves every
+    lease: a lease wakes an idle domain, or spawns one when none is
+    idle, and the domain parks again when its task returns. A parked
+    domain blocks on a [Condition], so it costs no CPU and wakes
+    without a sleep quantum; its minor heap stays mapped, so a run no
+    longer re-faults a fresh 2 MB minor heap per worker. The set grows
+    only to the largest number of tasks ever leased at once, and its
+    domains live until the process exits. [Domain.DLS] values survive
+    from one task to the next on the same domain: a task that sets one
+    resets it before returning.
+
+    {b The serve pool} ({!spawn}, {!submit}, {!shutdown}) is a
+    persistent pool of worker domains for request serving: the domains
+    are spawned once and reused for every task until {!shutdown} —
+    never re-created per request.
 
     Each worker owns one bounded SPSC task ring fed by the single
     coordinator domain ({!submit} must only ever be called from one
@@ -15,6 +30,21 @@
     must not take the daemon down. Ordering: tasks submitted to the
     same worker run in submission order; across workers there is no
     order. *)
+
+(** {2 Leased domains} *)
+
+type lease
+
+(** Run the task on a parked domain, or on a newly spawned one when
+    none is idle (counted by the metric [exec.domains_spawned]).
+    Returns at once. *)
+val lease : (unit -> unit) -> lease
+
+(** Block until the leased task returns; re-raises what it raised.
+    Awaiting twice is allowed. *)
+val await : lease -> unit
+
+(** {2 Serve pool} *)
 
 type t
 
