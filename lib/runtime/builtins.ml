@@ -96,11 +96,21 @@ let float_v f = Value.Vfloat f
 let bool_v x = Value.Vbool x
 let string_v s = Value.Vstring s
 
-let arg n args = List.nth args n
-let iarg n args = Value.to_int ~what:(Printf.sprintf "argument %d" n) (arg n args)
-let farg n args = Value.to_float ~what:(Printf.sprintf "argument %d" n) (arg n args)
-let sarg n args = Value.to_string_val ~what:(Printf.sprintf "argument %d" n) (arg n args)
-let aarg n args = Value.to_array ~what:(Printf.sprintf "argument %d" n) (arg n args)
+(* Argument accessors: the expected constructor is matched first, and
+   the diagnostic's "argument N" is formatted only on the error path. *)
+let what n = Printf.sprintf "argument %d" n
+
+let iarg n args =
+  match List.nth args n with Value.Vint i -> i | v -> Value.to_int ~what:(what n) v
+
+let farg n args =
+  match List.nth args n with Value.Vfloat f -> f | v -> Value.to_float ~what:(what n) v
+
+let sarg n args =
+  match List.nth args n with Value.Vstring s -> s | v -> Value.to_string_val ~what:(what n) v
+
+let aarg n args =
+  match List.nth args n with Value.Varray a -> a | v -> Value.to_array ~what:(what n) v
 
 open Ast
 
