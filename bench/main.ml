@@ -768,7 +768,6 @@ let bench_codegen_throughput evals : codegen_row list =
   section "Codegen: interpreted vs compiled iteration bodies (single worker)";
   let module R = Commset_runtime in
   let module Precompile = R.Precompile in
-  let module Pdg = Commset_pdg.Pdg in
   let module Abi = Commset_codegen.Abi in
   let module Codegen = Commset_codegen.Codegen in
   let module Clock = Obs.Clock in
@@ -786,17 +785,7 @@ let bench_codegen_throughput evals : codegen_row list =
     List.filter_map
       (fun be ->
         let c = be.Report.Evaluation.be_primary.Report.Evaluation.v_comp in
-        let pdg = c.P.target.P.pdg in
-        let loop = pdg.Pdg.loop in
-        match
-          Precompile.plan_real c.P.prepared
-            ~fname:pdg.Pdg.func.Commset_ir.Ir.fname
-            ~header:loop.Commset_analysis.Loops.header
-            ~latches:loop.Commset_analysis.Loops.latches
-            ~body:loop.Commset_analysis.Loops.body
-            ~nid_of_iid:(fun iid ->
-              match Pdg.node_of_instr pdg iid with Some nid -> nid | None -> -1)
-        with
+        match Commset_exec.Realexec.target ~prepared:c.P.prepared ~pdg:c.P.target.P.pdg with
         | Error _ -> None
         | Ok rt ->
             let body_label =
