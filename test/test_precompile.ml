@@ -3,7 +3,9 @@
     ({!Interp}) — outputs, total cycles (bit-exact), diagnostics, fuel
     exhaustion points, final globals, and (on the instrumented path) the
     complete hook event stream — across every bundled workload, every
-    annotation variant, and a set of handwritten corner cases. *)
+    annotation variant, and a set of handwritten corner cases. The
+    coarse path ([run_main_coarse]) is held to the same outcome and to
+    the reference stream's block- and function-level events. *)
 
 module L = Commset_lang
 module Ir = Commset_ir.Ir
@@ -64,15 +66,30 @@ let recording_hooks sink =
               (List.map (fun (blk, sets) -> blk ^ "{" ^ enc_actuals sets ^ "}") en))));
   h
 
+(* The events the coarse path fires: blocks, function entry and exit,
+   and output — the stream's ["B:"], ["E:"], ["F:"] and ["O:"] events. *)
+let coarse_event s =
+  List.exists (fun p -> String.starts_with ~prefix:p s) [ "B:"; "E:"; "F:"; "O:" ]
+
 (** Fold every hook event into a running hash + count, without storing
     the stream. Identical streams give identical (hash, count); a
-    divergence at any event perturbs all later mixes. *)
-let hashing_hooks acc count =
+    divergence at any event perturbs all later mixes. [coarse], when
+    given, is a second (hash, count) fed with the same mixes restricted
+    to the events {!coarse_event} keeps. *)
+let hashing_hooks ?coarse acc count =
   let h = R.Interp.null_hooks () in
-  let mix x = acc := (!acc * 31) + x in
+  let cur_coarse = ref false in
+  let mix x =
+    acc := (!acc * 31) + x;
+    match coarse with
+    | Some (cacc, _) when !cur_coarse -> cacc := (!cacc * 31) + x
+    | _ -> ()
+  in
   let mixh v = mix (Hashtbl.hash v) in
   let ev tag =
     incr count;
+    cur_coarse := List.mem tag [ 2; 5; 6; 7 ];
+    (match coarse with Some (_, cn) when !cur_coarse -> incr cn | _ -> ());
     mix tag
   in
   h.R.Interp.on_instr <-
@@ -154,12 +171,13 @@ let run_reference ?hooks ?fuel ~setup prog =
       canon_globals (Hashtbl.fold (fun n v l -> (n, v) :: l) interp.R.Interp.globals []);
   }
 
-let run_prepared ?hooks ?fuel ~setup prepared =
+let run_prepared ?(coarse = false) ?hooks ?fuel ~setup prepared =
   let machine = R.Machine.create () in
   setup machine;
   let ex = R.Precompile.executor ?hooks ?fuel ~machine prepared in
+  let run = if coarse then R.Precompile.run_main_coarse else R.Precompile.run_main in
   let result =
-    match R.Precompile.run_main ex with
+    match run ex with
     | total -> Ok total
     | exception Diag.Error d -> Error (Diag.to_string d)
     | exception R.Interp.Out_of_fuel -> Error "<out of fuel>"
@@ -180,8 +198,10 @@ let check_outcome what (expected : outcome) (got : outcome) =
     Alcotest.(list (pair string string))
     (what ^ ": globals") expected.o_globals got.o_globals
 
-(** Full differential on one program: fast path and instrumented path
-    against the reference, plus exact hook-stream comparison. *)
+(** Full differential on one program: fast, coarse and instrumented
+    paths against the reference, plus exact hook-stream comparison (the
+    coarse path against the reference stream's coarse events). Returns
+    the fast path's outcome. *)
 let differential ?fuel ?(setup = fun _ -> ()) src =
   let prog = compile src in
   let prepared = R.Precompile.prepare prog in
@@ -195,12 +215,21 @@ let differential ?fuel ?(setup = fun _ -> ()) src =
   in
   check_outcome "instrumented path" reference instrumented;
   check Alcotest.(list string) "hook event stream" (List.rev !ref_sink)
-    (List.rev !ins_sink)
+    (List.rev !ins_sink);
+  let coarse_sink = ref [] in
+  let coarse =
+    run_prepared ~coarse:true ~hooks:(recording_hooks coarse_sink) ?fuel ~setup prepared
+  in
+  check_outcome "coarse path" reference coarse;
+  check Alcotest.(list string) "coarse hook event stream"
+    (List.filter coarse_event (List.rev !ref_sink))
+    (List.rev !coarse_sink);
+  fast
 
 (* ---- handwritten corner cases --------------------------------------- *)
 
 let test_diff_basic () =
-  differential
+  ignore @@ differential
     {|
 int g = 3;
 float acc = 0.25;
@@ -227,7 +256,7 @@ void main() {
 |}
 
 let test_diff_strings_bools () =
-  differential
+  ignore @@ differential
     {|
 void main() {
   string s = "";
@@ -249,7 +278,7 @@ void main() {
 let test_diff_float_edge () =
   (* 0.0 / 0.0 is nan: Eq must be false on both engines (IEEE), and the
      accumulated totals must agree bit-for-bit *)
-  differential
+  ignore @@ differential
     {|
 void main() {
   float z = 0.0;
@@ -268,11 +297,7 @@ void main() {
 |}
 
 let trap_message src =
-  let prog = compile src in
-  let reference = run_reference ~setup:(fun _ -> ()) prog in
-  let fast = run_prepared ~setup:(fun _ -> ()) (R.Precompile.prepare prog) in
-  check_outcome "trap" reference fast;
-  match fast.o_result with
+  match (differential src).o_result with
   | Error m -> m
   | Ok _ -> Alcotest.failf "expected %S to trap" src
 
@@ -296,19 +321,14 @@ let test_diff_fuel () =
      straddling block and instruction boundaries *)
   let src = "void main() { int x = 0; while (true) { x = x + 1; } }" in
   List.iter
-    (fun fuel -> differential ~fuel src)
+    (fun fuel -> ignore (differential ~fuel src))
     [ 1; 2; 3; 7; 50; 51; 52; 53; 1000 ]
 
 let test_diff_missing_arg () =
   (* lowering can't produce an arity mismatch from typechecked source, so
      drive exec directly: both engines report the same missing-argument
      diagnostic for main-with-params *)
-  let src = "void main(int n) { print(int_to_string(n)); }" in
-  let prog = compile src in
-  let reference = run_reference ~setup:(fun _ -> ()) prog in
-  let fast = run_prepared ~setup:(fun _ -> ()) (R.Precompile.prepare prog) in
-  check_outcome "missing argument" reference fast;
-  match fast.o_result with
+  match (differential "void main(int n) { print(int_to_string(n)); }").o_result with
   | Error m -> check Alcotest.bool "names argument 0" true (m <> "")
   | Ok _ -> Alcotest.fail "main(int) with no args must trap"
 
@@ -325,16 +345,28 @@ let workload_differential (w : W.t) variant_name src () =
   (* instrumented path: full hook stream, compared as rolling hash +
      event count (the streams run to millions of events) *)
   let ref_acc = ref 0 and ref_n = ref 0 in
+  let ref_cacc = ref 0 and ref_cn = ref 0 in
   let ins_acc = ref 0 and ins_n = ref 0 in
   let reference_h =
-    run_reference ~hooks:(hashing_hooks ref_acc ref_n) ~setup:w.W.setup prog
+    run_reference
+      ~hooks:(hashing_hooks ~coarse:(ref_cacc, ref_cn) ref_acc ref_n)
+      ~setup:w.W.setup prog
   in
   let instrumented =
     run_prepared ~hooks:(hashing_hooks ins_acc ins_n) ~setup:w.W.setup prepared
   in
   check_outcome (what "%s/%s instrumented") reference_h instrumented;
   check Alcotest.int (what "%s/%s hook event count") !ref_n !ins_n;
-  check Alcotest.int (what "%s/%s hook event hash") !ref_acc !ins_acc
+  check Alcotest.int (what "%s/%s hook event hash") !ref_acc !ins_acc;
+  (* coarse path: same outcome, and the reference stream restricted to
+     block, function and output events *)
+  let co_acc = ref 0 and co_n = ref 0 in
+  let coarse =
+    run_prepared ~coarse:true ~hooks:(hashing_hooks co_acc co_n) ~setup:w.W.setup prepared
+  in
+  check_outcome (what "%s/%s coarse") reference_h coarse;
+  check Alcotest.int (what "%s/%s coarse hook event count") !ref_cn !co_n;
+  check Alcotest.int (what "%s/%s coarse hook event hash") !ref_cacc !co_acc
 
 let workload_cases =
   List.concat_map
