@@ -212,29 +212,31 @@ type iter_obs = { o_nodes : int list; o_steps : int; o_cost : float }
 
 (* The target loop driven sequentially through the coordinator's
    backbone, each iteration executed inline on a fresh worker state by
-   [body wst builtin record regs]; [record] collects node ids. *)
+   [body wst builtin record regs]; [record] collects node ids. Returns
+   the iterations, the outputs and the coordinator's own steps and
+   cycles. *)
 let drive_iterations (c : P.t) rt body =
   let machine = R.Machine.create () in
   c.P.setup machine;
   let ex = R.Precompile.executor ~machine c.P.prepared in
   let builtin (bi : R.Builtins.t) argv ~has_dst:_ = bi.R.Builtins.impl machine argv in
   let obs = ref [] in
-  ignore
-    (R.Precompile.run_main_real ex rt
-       ~on_iter:(fun _ regs ->
-         let wst = R.Precompile.worker_state ex ~fuel:max_int in
-         let nodes = ref [] in
-         body wst builtin (fun nid -> nodes := nid :: !nodes) (Array.copy regs);
-         obs :=
-           {
-             o_nodes = List.rev !nodes;
-             o_steps = max_int - R.Precompile.wstate_fuel_left wst;
-             o_cost = R.Precompile.wstate_total wst;
-           }
-           :: !obs)
-       ~on_loop_done:ignore
-      : float);
-  (List.rev !obs, R.Machine.outputs machine)
+  let coord_cost =
+    R.Precompile.run_main_real ex rt
+      ~on_iter:(fun _ regs ->
+        let wst = R.Precompile.worker_state ex ~fuel:max_int in
+        let nodes = ref [] in
+        body wst builtin (fun nid -> nodes := nid :: !nodes) (Array.copy regs);
+        obs :=
+          {
+            o_nodes = List.rev !nodes;
+            o_steps = max_int - R.Precompile.wstate_fuel_left wst;
+            o_cost = R.Precompile.wstate_total wst;
+          }
+          :: !obs)
+      ~on_loop_done:ignore
+  in
+  (List.rev !obs, R.Machine.outputs machine, (R.Precompile.steps ex, coord_cost))
 
 (* The per-instruction reference: a sequential run on the instrumented
    (hook-faithful) path, where every target-function instruction inside
@@ -293,7 +295,7 @@ let reference_iterations (c : P.t) (pdg : Pdg.t) =
    and the compiled body's [cg_node] stream, deduplicated as the
    engine's [cg_node] does. *)
 let worker_streams (w : W.t) (c : P.t) rt =
-  let interp, outs =
+  let interp, outs, _ =
     drive_iterations c rt (fun wst builtin record regs ->
         R.Precompile.run_iteration wst rt ~on_node:record ~builtin regs)
   in
@@ -302,7 +304,7 @@ let worker_streams (w : W.t) (c : P.t) rt =
     | Ok cg -> cg
     | Error why -> Alcotest.failf "%s: codegen prepare failed: %s" w.W.wname why
   in
-  let compiled, _ =
+  let compiled, _, _ =
     drive_iterations c rt (fun wst builtin record regs ->
         let cur = ref (-1) in
         cg.Codegen.cg_fn
@@ -388,6 +390,69 @@ let transition_cases =
       Alcotest.test_case
         (Printf.sprintf "%s: node transitions agree (interp/per-instr/compiled)" w.W.wname)
         `Quick (node_transitions_agree w))
+    Registry.all
+
+(* ---- coordinator/worker split accounting ---- *)
+
+(* Cycles the split charges per iteration beyond the sequential run: the
+   latch's terminator and backbone instructions, which the coordinator
+   and the worker both execute. em3d's latch backbone calls a read-only
+   builtin. *)
+let latch_cycles = [ ("em3d", 25.0) ]
+
+(* The split adds nothing but the latch the coordinator shares with the
+   worker: per iteration one block entry plus the latch's backbone
+   instructions in steps, and [latch_cycles] in cycles, while the
+   outputs equal the sequential run's. *)
+let split_accounting (w : W.t) () =
+  let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
+  let rt = rtarget c in
+  let iters, outs, (coord_steps, coord_cost) =
+    drive_iterations c rt (fun wst builtin _ regs ->
+        R.Precompile.run_iteration wst rt ~on_node:ignore ~builtin regs)
+  in
+  let machine = R.Machine.create () in
+  c.P.setup machine;
+  let seq = R.Precompile.executor ~machine c.P.prepared in
+  let seq_cost = R.Precompile.run_main seq in
+  check Alcotest.(list string) "outputs equal the sequential run" (R.Machine.outputs machine) outs;
+  let k = List.length iters in
+  check Alcotest.bool "iterations dispatched" true (k > 0);
+  let latch =
+    match c.P.target.P.pdg.Pdg.loop.Loops.latches with
+    | [ l ] -> l
+    | _ -> Alcotest.fail "expected a single latch"
+  in
+  let view = R.Precompile.rtarget_view rt in
+  let backbone = R.Precompile.rtarget_backbone rt in
+  let latch_backbone =
+    Array.fold_left
+      (fun n (b : R.Precompile.view_block) ->
+        if b.R.Precompile.vb_label <> latch then n
+        else
+          n
+          + Array.fold_left
+              (fun n (i : Commset_ir.Ir.instr) ->
+                if List.mem i.Commset_ir.Ir.iid backbone then n + 1 else n)
+              0 b.R.Precompile.vb_instrs)
+      0 view.R.Precompile.vf_blocks
+  in
+  let worker_steps = List.fold_left (fun n o -> n + o.o_steps) 0 iters in
+  let worker_cost = List.fold_left (fun x o -> x +. o.o_cost) 0. iters in
+  check Alcotest.int "split steps - sequential steps"
+    (k * (1 + latch_backbone))
+    (coord_steps + worker_steps - R.Precompile.steps seq);
+  let per_iter = (coord_cost +. worker_cost -. seq_cost) /. float_of_int k in
+  check (Alcotest.float 1e-6) "split cycles - sequential cycles, per iteration"
+    (Option.value ~default:3.0 (List.assoc_opt w.W.wname latch_cycles))
+    per_iter
+
+let accounting_cases =
+  List.map
+    (fun w ->
+      Alcotest.test_case
+        (Printf.sprintf "%s: coordinator/worker split accounting" w.W.wname)
+        `Quick (split_accounting w))
     Registry.all
 
 (* ---- property: random small loop bodies compile and agree ---- *)
@@ -483,4 +548,4 @@ let suite =
         test_corrupted_cache_recompiles;
       qcheck prop_random_bodies_agree;
     ]
-    @ differential_cases @ transition_cases )
+    @ differential_cases @ transition_cases @ accounting_cases )
