@@ -10,7 +10,8 @@
     - in-loop blocks become mutually tail-recursive [unit] functions
       closing over the caller's register file; reachable callee
       functions become [Value.t]-returning functions over a fresh frame
-      (the [w_nested] contract: builtins intercepted, no node tracking);
+      (the worker's nested-call contract: builtins intercepted, no node
+      tracking);
     - fuel is charged per block entry and per instruction at the exact
       interpreter points (so [Out_of_fuel] and step totals agree); a
       straight run of simple instructions pays one batched check and
@@ -403,8 +404,8 @@ let emit_instrs env ~ind ~(nids : int array option) (vb : Precompile.view_block)
 let terminator_charge env ~ind =
   line env "%s%s" ind (charge_stmt Costmodel.terminator_cost)
 
-(* Target-depth transfer: the continue_to of run_iteration, resolved
-   statically per edge. *)
+(* Target-depth transfer: where run_iteration's span goes after a
+   terminator, resolved statically per edge. *)
 let target_go ~header ~in_loop tgt : string =
   if tgt = header then "()"
   else if tgt >= 0 && tgt < Array.length in_loop && in_loop.(tgt) then
@@ -427,9 +428,10 @@ let emit_target_term env ~ind ~header ~in_loop (vb : Precompile.view_block) =
   | Precompile.Vret_reg _ | Precompile.Vret_const _ | Precompile.Vret_none ->
       line env "%sD.error \"real-exec: iteration returned out of the target loop\"" ind
 
-(* Nested-depth transfer: whole-function w_nested semantics. A jump to
-   a label with no block charges block-entry fuel then raises Not_found
-   like [Ir.block]. *)
+(* Nested-depth transfer: whole-function semantics, as the worker's
+   nested calls run on the evaluator core. A jump to a label with no
+   block charges block-entry fuel then raises Not_found like
+   [Ir.block]. *)
 let nested_go (c : callee) tgt : string =
   if tgt >= 0 then Printf.sprintf "%sb%d regs" c.cl_fn tgt
   else

@@ -1,8 +1,14 @@
 (** Prepared-program execution layer: a one-time pass that resolves an
-    {!Ir.program} into an array-indexed, closure-threaded form, plus two
-    engines over it — a null-hooks fast path with zero dispatch and zero
-    allocation per instruction, and an instrumented path that fires the
-    exact {!Interp.hooks} event stream of the reference interpreter.
+    {!Ir.program} into an array-indexed, closure-threaded form, plus one
+    evaluator core over it ([run]) and an instrumented path ([i_run]).
+    The core serves the null-hooks fast path (zero dispatch and zero
+    allocation per instruction), the coarse path (the same loop plus a
+    block probe behind a bool guard) and the real engine's nested calls;
+    a per-run [eng] record supplies its builtin call, user call and
+    probe. The real engine's worker span and coordinator keep their own
+    instruction loops but share the core's frame binder, block entry
+    and terminator resolver. The instrumented path fires the exact
+    {!Interp.hooks} event stream of the reference interpreter.
 
     What the prepare pass specializes away from the tree-walking
     interpreter's hot loop:
@@ -30,7 +36,8 @@
     Behavioural contract, relied on by the differential tests
     ([test/test_precompile.ml], [test/test_fuzz.ml]): for any program,
     outputs, total cycles, diagnostics, and (on the instrumented path)
-    the full hook event stream are identical to {!Interp}. Runtime
+    the full hook event stream — on the coarse path its block, function
+    and output events — are identical to {!Interp}. Runtime
     failures raise the same {!Diag.Error}s at the same point; fuel is
     charged per instruction and per block exactly like the reference, so
     {!Interp.Out_of_fuel} fires at the same execution point. *)
@@ -431,12 +438,34 @@ let globals ex : (string * Value.t) list =
   done;
   !acc
 
-(* ---- fast path (no hooks) ------------------------------------------ *)
+(* ---- the evaluator core ---------------------------------------------- *)
+
+(* What one run plugs into the core: how a builtin call executes, how a
+   user call executes, and an optional block probe. The probe stays
+   behind the [e_probe] guard, so a run without one pays a bool test
+   per block and no call. *)
+type eng = {
+  e_builtin : Builtins.t -> Value.t list -> has_dst:bool -> Value.t * float;
+  e_call : pfunc -> opf array -> Value.t array -> Value.t;
+      (** callee, its argument operands, the caller's register file *)
+  e_probe : bool;
+  e_block : Ir.func -> Ir.label -> unit;
+}
+
+let machine_builtin m (bi : Builtins.t) argv ~has_dst:_ = bi.Builtins.impl m argv
+let no_probe (_ : Ir.func) (_ : Ir.label) = ()
 
 let rec f_args bargs regs i n =
   if i >= n then [] else bargs.(i) regs :: f_args bargs regs (i + 1) n
 
-let rec f_exec_call st (callee : pfunc) (cargs : opf array) caller_regs : Value.t =
+(* A non-bool branch condition: traps like the reference's [Value.to_bool]. *)
+let bad_cond v =
+  ignore (Value.to_bool ~what:"branch condition" v);
+  assert false
+
+(** The callee's fresh register file with its parameters bound from the
+    caller's argument operands. *)
+let frame (callee : pfunc) (cargs : opf array) caller_regs =
   let regs = Array.make callee.pf_nregs (Value.Vint 0) in
   let params = callee.pf_params in
   let np = Array.length params in
@@ -446,82 +475,45 @@ let rec f_exec_call st (callee : pfunc) (cargs : opf array) caller_regs : Value.
   for i = 0 to np - 1 do
     regs.(params.(i)) <- cargs.(i) caller_regs
   done;
-  f_run st callee regs callee.pf_entry
+  regs
 
-and f_run st (pf : pfunc) regs bidx : Value.t =
-  if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
-  st.st_fuel <- st.st_fuel - 1;
-  if bidx < 0 then ignore (Ir.block pf.pf_ir (-1 - bidx)) (* raises Not_found *);
-  let b = Array.unsafe_get pf.pf_blocks bidx in
-  let instrs = b.pb_instrs and costs = b.pb_costs in
-  for k = 0 to Array.length instrs - 1 do
-    if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
-    st.st_fuel <- st.st_fuel - 1;
-    st.st_total <- st.st_total +. Array.unsafe_get costs k;
-    match Array.unsafe_get instrs k with
-    | Psimple f -> f st regs
-    | Pbuiltin { bi; bargs; bdst } ->
-        let v, cost =
-          bi.Builtins.impl st.st_machine (f_args bargs regs 0 (Array.length bargs))
-        in
-        st.st_total <- st.st_total +. cost;
-        if bdst >= 0 then regs.(bdst) <- v
-    | Pcall { ccallee; cargs; cdst; _ } ->
-        let v = f_exec_call st ccallee cargs regs in
-        if cdst >= 0 then regs.(cdst) <- v
-  done;
-  st.st_total <- st.st_total +. Costmodel.terminator_cost;
-  match b.pb_term with
-  | Pjump j -> f_run st pf regs j
-  | Pbranch (c, l1, l2) -> (
-      match regs.(c) with
-      | Value.Vbool true -> f_run st pf regs l1
-      | Value.Vbool false -> f_run st pf regs l2
-      | v ->
-          ignore (Value.to_bool ~what:"branch condition" v);
-          assert false)
-  | Pbranch_raise fop ->
-      ignore (Value.to_bool ~what:"branch condition" (fop regs));
-      assert false
-  | Pret_reg r -> regs.(r)
-  | Pret_const v -> v
-  | Pret_none -> Value.Vint 0
-
-(* ---- coarse path (block-grained hooks) ------------------------------ *)
-
-(* Runs like the fast path but fires the function- and block-level
-   subset of the hooks: [on_enter_func], [on_exit_func], [on_block]
-   (plus [on_output] via the machine). Per-instruction hooks
-   ([on_instr], [on_base_cost], [on_builtin]) and actuals hooks
-   ([on_region_enter], [on_call_actuals]) never fire; observers that
-   only need running cost read {!total_cost}, which advances through
-   the same per-instruction charges as the other two paths. The
-   profiler's block-segment attribution is the intended client. *)
-let rec c_exec_call st (h : Interp.hooks) (callee : pfunc) (cargs : opf array)
-    caller_regs : Value.t =
-  h.Interp.on_enter_func callee.pf_ir;
-  let regs = Array.make callee.pf_nregs (Value.Vint 0) in
-  let params = callee.pf_params in
-  let np = Array.length params in
-  if Array.length cargs < np then
-    Diag.error "runtime: missing argument %d of %s" (Array.length cargs)
-      callee.pf_ir.Ir.fname;
-  for i = 0 to np - 1 do
-    regs.(params.(i)) <- cargs.(i) caller_regs
-  done;
-  let v = c_run st h callee regs callee.pf_entry in
-  h.Interp.on_exit_func callee.pf_ir;
-  v
-
-and c_run st h (pf : pfunc) regs bidx : Value.t =
+(* Block entry, shared by every loop: one fuel step, then the block —
+   announced to [on_block] when [probe]. An edge to a label with no
+   block raises the reference's [Not_found], announced first. *)
+let[@inline] enter st (pf : pfunc) bidx probe on_block : pblock =
   if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
   st.st_fuel <- st.st_fuel - 1;
   if bidx < 0 then begin
-    h.Interp.on_block pf.pf_ir (-1 - bidx);
-    ignore (Ir.block pf.pf_ir (-1 - bidx)) (* raises Not_found like the reference *)
+    if probe then on_block pf.pf_ir (-1 - bidx);
+    ignore (Ir.block pf.pf_ir (-1 - bidx))
   end;
   let b = Array.unsafe_get pf.pf_blocks bidx in
-  h.Interp.on_block pf.pf_ir b.pb_label;
+  if probe then on_block pf.pf_ir b.pb_label;
+  b
+
+(* The block a non-returning terminator transfers to, or [no_next] for a
+   return, whose value [ret] reads. Jump targets are never [max_int]. *)
+let no_next = max_int
+
+let next term regs =
+  match term with
+  | Pjump j -> j
+  | Pbranch (c, l1, l2) -> (
+      match regs.(c) with
+      | Value.Vbool true -> l1
+      | Value.Vbool false -> l2
+      | v -> bad_cond v)
+  | Pbranch_raise fop -> bad_cond (fop regs)
+  | Pret_reg _ | Pret_const _ | Pret_none -> no_next
+
+let ret term regs =
+  match term with Pret_reg r -> regs.(r) | Pret_const v -> v | _ -> Value.Vint 0
+
+(* The core: runs [pf] from block [bidx] to its return. The instruction
+   loop and the terminator match stay inline — this is the hot loop of
+   the fast, coarse and worker-nested paths. *)
+let rec run eng st (pf : pfunc) regs bidx : Value.t =
+  let b = enter st pf bidx eng.e_probe eng.e_block in
   let instrs = b.pb_instrs and costs = b.pb_costs in
   for k = 0 to Array.length instrs - 1 do
     if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
@@ -531,30 +523,59 @@ and c_run st h (pf : pfunc) regs bidx : Value.t =
     | Psimple f -> f st regs
     | Pbuiltin { bi; bargs; bdst } ->
         let v, cost =
-          bi.Builtins.impl st.st_machine (f_args bargs regs 0 (Array.length bargs))
+          eng.e_builtin bi (f_args bargs regs 0 (Array.length bargs)) ~has_dst:(bdst >= 0)
         in
         st.st_total <- st.st_total +. cost;
         if bdst >= 0 then regs.(bdst) <- v
     | Pcall { ccallee; cargs; cdst; _ } ->
-        let v = c_exec_call st h ccallee cargs regs in
+        let v = eng.e_call ccallee cargs regs in
         if cdst >= 0 then regs.(cdst) <- v
   done;
   st.st_total <- st.st_total +. Costmodel.terminator_cost;
   match b.pb_term with
-  | Pjump j -> c_run st h pf regs j
+  | Pjump j -> run eng st pf regs j
   | Pbranch (c, l1, l2) -> (
       match regs.(c) with
-      | Value.Vbool true -> c_run st h pf regs l1
-      | Value.Vbool false -> c_run st h pf regs l2
-      | v ->
-          ignore (Value.to_bool ~what:"branch condition" v);
-          assert false)
-  | Pbranch_raise fop ->
-      ignore (Value.to_bool ~what:"branch condition" (fop regs));
-      assert false
+      | Value.Vbool true -> run eng st pf regs l1
+      | Value.Vbool false -> run eng st pf regs l2
+      | v -> bad_cond v)
+  | Pbranch_raise fop -> bad_cond (fop regs)
   | Pret_reg r -> regs.(r)
   | Pret_const v -> v
   | Pret_none -> Value.Vint 0
+
+(* The fast path, and the worker's nested calls: every user call runs on
+   the core, no probe. *)
+let plain_eng st e_builtin =
+  let rec eng =
+    {
+      e_builtin;
+      e_call = (fun callee cargs regs -> run eng st callee (frame callee cargs regs) callee.pf_entry);
+      e_probe = false;
+      e_block = no_probe;
+    }
+  in
+  eng
+
+(* The coarse path: the fast path plus the function- and block-level
+   hooks ([on_enter_func], [on_exit_func], [on_block]; [on_output] fires
+   through the machine). Per-instruction and actuals hooks never fire;
+   observers that only need running cost read {!total_cost}. *)
+let coarse_eng st (h : Interp.hooks) =
+  let rec eng =
+    {
+      e_builtin = machine_builtin st.st_machine;
+      e_call =
+        (fun callee cargs regs ->
+          h.Interp.on_enter_func callee.pf_ir;
+          let v = run eng st callee (frame callee cargs regs) callee.pf_entry in
+          h.Interp.on_exit_func callee.pf_ir;
+          v);
+      e_probe = true;
+      e_block = h.Interp.on_block;
+    }
+  in
+  eng
 
 (* ---- instrumented path (hook-faithful) ------------------------------ *)
 
@@ -578,14 +599,7 @@ let rec i_exec_func st (h : Interp.hooks) (pf : pfunc) (args : Value.t list) : V
   v
 
 and i_run st h (pf : pfunc) regs bidx : Value.t =
-  if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
-  st.st_fuel <- st.st_fuel - 1;
-  if bidx < 0 then begin
-    h.Interp.on_block pf.pf_ir (-1 - bidx);
-    ignore (Ir.block pf.pf_ir (-1 - bidx)) (* raises Not_found like the reference *)
-  end;
-  let b = pf.pf_blocks.(bidx) in
-  h.Interp.on_block pf.pf_ir b.pb_label;
+  let b = enter st pf bidx true h.Interp.on_block in
   (match b.pb_region with
   | Some (region, set_fns) ->
       let actuals =
@@ -630,28 +644,13 @@ and i_run st h (pf : pfunc) regs bidx : Value.t =
   let c = Costmodel.terminator_cost in
   st.st_total <- st.st_total +. c;
   h.Interp.on_base_cost c;
-  match b.pb_term with
-  | Pjump j -> i_run st h pf regs j
-  | Pbranch (c, l1, l2) -> (
-      match regs.(c) with
-      | Value.Vbool true -> i_run st h pf regs l1
-      | Value.Vbool false -> i_run st h pf regs l2
-      | v ->
-          ignore (Value.to_bool ~what:"branch condition" v);
-          assert false)
-  | Pbranch_raise fop ->
-      ignore (Value.to_bool ~what:"branch condition" (fop regs));
-      assert false
-  | Pret_reg r -> regs.(r)
-  | Pret_const v -> v
-  | Pret_none -> Value.Vint 0
+  let j = next b.pb_term regs in
+  if j = no_next then ret b.pb_term regs else i_run st h pf regs j
 
 (* ---- entry ---------------------------------------------------------- *)
 
-(** Run [main()] to completion; returns total simulated cycles. The
-    executor keeps the machine, globals, and running total for
-    inspection afterwards. *)
-let run_main (ex : exec) : float =
+(* Run [go st main] with the run metrics; returns total simulated cycles. *)
+let with_main (ex : exec) go : float =
   match ex.ex_prepared.p_main with
   | None -> Diag.error "program has no 'main' function"
   | Some mainf ->
@@ -660,11 +659,27 @@ let run_main (ex : exec) : float =
       Metrics.incr m_exec_runs;
       Fun.protect
         ~finally:(fun () -> Metrics.add m_steps (fuel_before - st.st_fuel))
-        (fun () ->
-          match ex.ex_hooks with
-          | None -> ignore (f_exec_call st mainf [||] [||])
-          | Some h -> ignore (i_exec_func st h mainf []));
+        (fun () -> ignore (go st mainf : Value.t));
       st.st_total
+
+(** Run [main()] to completion; returns total simulated cycles. The
+    executor keeps the machine, globals, and running total for
+    inspection afterwards. *)
+let run_main (ex : exec) : float =
+  with_main ex (fun st mainf ->
+      match ex.ex_hooks with
+      | None -> (plain_eng st (machine_builtin st.st_machine)).e_call mainf [||] [||]
+      | Some h -> i_exec_func st h mainf [])
+
+(** Like {!run_main}, but an executor with hooks runs on the coarse
+    path: only [on_enter_func], [on_exit_func], [on_block] and
+    [on_output] fire (per-instruction and actuals hooks are skipped),
+    while {!total_cost} still advances per instruction. Block-grained
+    observers — the profiler — get fast-path speed this way. *)
+let run_main_coarse (ex : exec) : float =
+  match ex.ex_hooks with
+  | None -> run_main ex
+  | Some h -> with_main ex (fun st mainf -> (coarse_eng st h).e_call mainf [||] [||])
 
 (* ------------------------------------------------------------------ *)
 (* Real-execution support                                              *)
@@ -974,17 +989,15 @@ let global_declared (p : t) name =
 
 (* ---- coordinator ---------------------------------------------------- *)
 
-(* One block's instructions on the fast path, optionally masked; the
-   terminator is left to the caller. *)
-let x_block st (pf : pfunc) regs bidx (mask : bool array option) exec_call =
-  if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
-  st.st_fuel <- st.st_fuel - 1;
-  if bidx < 0 then ignore (Ir.block pf.pf_ir (-1 - bidx));
-  let b = Array.unsafe_get pf.pf_blocks bidx in
+(* One block for the coordinator, its instructions optionally masked to
+   the backbone; charges the terminator and leaves it to the caller. The
+   coordinator runs only the header and latch per iteration, so this
+   one stays out of line. *)
+let exec_range eng st (pf : pfunc) regs bidx (mask : bool array option) : pterm =
+  let b = enter st pf bidx false no_probe in
   let instrs = b.pb_instrs and costs = b.pb_costs in
   for k = 0 to Array.length instrs - 1 do
-    let keep = match mask with None -> true | Some m -> m.(k) in
-    if keep then begin
+    if match mask with None -> true | Some m -> m.(k) then begin
       if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
       st.st_fuel <- st.st_fuel - 1;
       st.st_total <- st.st_total +. Array.unsafe_get costs k;
@@ -992,12 +1005,12 @@ let x_block st (pf : pfunc) regs bidx (mask : bool array option) exec_call =
       | Psimple f -> f st regs
       | Pbuiltin { bi; bargs; bdst } ->
           let v, cost =
-            bi.Builtins.impl st.st_machine (f_args bargs regs 0 (Array.length bargs))
+            eng.e_builtin bi (f_args bargs regs 0 (Array.length bargs)) ~has_dst:(bdst >= 0)
           in
           st.st_total <- st.st_total +. cost;
           if bdst >= 0 then regs.(bdst) <- v
       | Pcall { ccallee; cargs; cdst; _ } ->
-          let v = exec_call st ccallee cargs regs in
+          let v = eng.e_call ccallee cargs regs in
           if cdst >= 0 then regs.(cdst) <- v
     end
   done;
@@ -1006,77 +1019,39 @@ let x_block st (pf : pfunc) regs bidx (mask : bool array option) exec_call =
 
 let run_main_real (ex : exec) (rt : rtarget) ~(on_iter : int -> Value.t array -> unit)
     ~(on_loop_done : unit -> unit) : float =
-  match ex.ex_prepared.p_main with
-  | None -> Diag.error "program has no 'main' function"
-  | Some mainf ->
-      let st = ex.ex_state in
-      let fuel_before = st.st_fuel in
+  with_main ex (fun st mainf ->
       let iterc = ref 0 in
-      let rec x_exec_call st (callee : pfunc) (cargs : opf array) caller_regs : Value.t =
-        let regs = Array.make callee.pf_nregs (Value.Vint 0) in
-        let params = callee.pf_params in
-        let np = Array.length params in
-        if Array.length cargs < np then
-          Diag.error "runtime: missing argument %d of %s" (Array.length cargs)
-            callee.pf_ir.Ir.fname;
-        for i = 0 to np - 1 do
-          regs.(params.(i)) <- cargs.(i) caller_regs
-        done;
-        x_run st callee regs callee.pf_entry
-      and x_run st (pf : pfunc) regs bidx : Value.t =
-        if pf == rt.rt_pf && bidx = rt.rt_header then x_loop st pf regs
+      let rec eng =
+        {
+          e_builtin = machine_builtin st.st_machine;
+          e_call =
+            (fun callee cargs regs -> x_run callee (frame callee cargs regs) callee.pf_entry);
+          e_probe = false;
+          e_block = no_probe;
+        }
+      and x_run (pf : pfunc) regs bidx : Value.t =
+        if pf == rt.rt_pf && bidx = rt.rt_header then x_loop pf regs
         else
-          let term = x_block st pf regs bidx None x_exec_call in
-          x_term st pf regs term
-      and x_term st pf regs = function
-        | Pjump j -> x_run st pf regs j
-        | Pbranch (c, l1, l2) -> (
-            match regs.(c) with
-            | Value.Vbool true -> x_run st pf regs l1
-            | Value.Vbool false -> x_run st pf regs l2
-            | v ->
-                ignore (Value.to_bool ~what:"branch condition" v);
-                assert false)
-        | Pbranch_raise fop ->
-            ignore (Value.to_bool ~what:"branch condition" (fop regs));
-            assert false
-        | Pret_reg r -> regs.(r)
-        | Pret_const v -> v
-        | Pret_none -> Value.Vint 0
-      and x_loop st pf regs : Value.t =
-        let rec go () =
-          let term = x_block st pf regs rt.rt_header None x_exec_call in
-          let tgt =
-            match term with
-            | Pbranch (c, l1, l2) -> (
-                match regs.(c) with
-                | Value.Vbool true -> l1
-                | Value.Vbool false -> l2
-                | v ->
-                    ignore (Value.to_bool ~what:"branch condition" v);
-                    assert false)
-            | _ -> Diag.error "real-exec: header terminator changed shape"
-          in
-          if tgt = rt.rt_body_entry then begin
-            on_iter !iterc regs;
-            incr iterc;
-            List.iter
-              (fun (bidx, mask) -> ignore (x_block st pf regs bidx (Some mask) x_exec_call))
-              rt.rt_spine;
-            go ()
-          end
-          else begin
-            on_loop_done ();
-            x_run st pf regs tgt
-          end
-        in
-        go ()
+          let term = exec_range eng st pf regs bidx None in
+          let j = next term regs in
+          if j = no_next then ret term regs else x_run pf regs j
+      and x_loop pf regs : Value.t =
+        (* [plan_real] checked the header ends in a two-way branch *)
+        let tgt = next (exec_range eng st pf regs rt.rt_header None) regs in
+        if tgt = rt.rt_body_entry then begin
+          on_iter !iterc regs;
+          incr iterc;
+          List.iter
+            (fun (bidx, mask) -> ignore (exec_range eng st pf regs bidx (Some mask)))
+            rt.rt_spine;
+          x_loop pf regs
+        end
+        else begin
+          on_loop_done ();
+          x_run pf regs tgt
+        end
       in
-      Metrics.incr m_exec_runs;
-      Fun.protect
-        ~finally:(fun () -> Metrics.add m_steps (fuel_before - st.st_fuel))
-        (fun () -> ignore (x_exec_call st mainf [||] [||]));
-      st.st_total
+      eng.e_call mainf [||] [||])
 
 (* ---- workers -------------------------------------------------------- *)
 
@@ -1107,67 +1082,17 @@ let wstate_charge (st : wstate) ~steps ~cost =
 let run_iteration (st : wstate) (rt : rtarget) ~(on_node : int -> unit)
     ~(builtin : Builtins.t -> Value.t list -> has_dst:bool -> Value.t * float)
     (regs : Value.t array) : unit =
-  let rec w_exec_call st (callee : pfunc) (cargs : opf array) caller_regs : Value.t =
-    let cregs = Array.make callee.pf_nregs (Value.Vint 0) in
-    let params = callee.pf_params in
-    let np = Array.length params in
-    if Array.length cargs < np then
-      Diag.error "runtime: missing argument %d of %s" (Array.length cargs)
-        callee.pf_ir.Ir.fname;
-    for i = 0 to np - 1 do
-      cregs.(params.(i)) <- cargs.(i) caller_regs
-    done;
-    w_nested st callee cregs callee.pf_entry
-  (* nested calls run whole functions: builtins stay intercepted, but
-     node tracking ([on_node]) stays at target-function depth — callee
-     work belongs to the calling node *)
-  and w_nested st (pf : pfunc) regs bidx : Value.t =
-    if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
-    st.st_fuel <- st.st_fuel - 1;
-    if bidx < 0 then ignore (Ir.block pf.pf_ir (-1 - bidx));
-    let b = Array.unsafe_get pf.pf_blocks bidx in
-    let instrs = b.pb_instrs and costs = b.pb_costs in
-    for k = 0 to Array.length instrs - 1 do
-      if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
-      st.st_fuel <- st.st_fuel - 1;
-      st.st_total <- st.st_total +. Array.unsafe_get costs k;
-      match Array.unsafe_get instrs k with
-      | Psimple f -> f st regs
-      | Pbuiltin { bi; bargs; bdst } ->
-          let argv = f_args bargs regs 0 (Array.length bargs) in
-          let v, cost = builtin bi argv ~has_dst:(bdst >= 0) in
-          st.st_total <- st.st_total +. cost;
-          if bdst >= 0 then regs.(bdst) <- v
-      | Pcall { ccallee; cargs; cdst; _ } ->
-          let v = w_exec_call st ccallee cargs regs in
-          if cdst >= 0 then regs.(cdst) <- v
-    done;
-    st.st_total <- st.st_total +. Costmodel.terminator_cost;
-    match b.pb_term with
-    | Pjump j -> w_nested st pf regs j
-    | Pbranch (c, l1, l2) -> (
-        match regs.(c) with
-        | Value.Vbool true -> w_nested st pf regs l1
-        | Value.Vbool false -> w_nested st pf regs l2
-        | v ->
-            ignore (Value.to_bool ~what:"branch condition" v);
-            assert false)
-    | Pbranch_raise fop ->
-        ignore (Value.to_bool ~what:"branch condition" (fop regs));
-        assert false
-    | Pret_reg r -> regs.(r)
-    | Pret_const v -> v
-    | Pret_none -> Value.Vint 0
-  in
+  (* nested calls run whole functions on the core: builtins stay
+     intercepted, but node tracking ([on_node]) stays at target-function
+     depth — callee work belongs to the calling node *)
+  let eng = plain_eng st builtin in
   let pf = rt.rt_pf in
   let nblocks = Array.length pf.pf_blocks in
   (* the node the iteration is in: [on_node] fires once per maximal
      same-node instruction run, before the run's first instruction *)
   let cur = ref (-1) in
   let rec span bidx =
-    if st.st_fuel <= 0 then raise Interp.Out_of_fuel;
-    st.st_fuel <- st.st_fuel - 1;
-    let b = Array.unsafe_get pf.pf_blocks bidx in
+    let b = enter st pf bidx false no_probe in
     let instrs = b.pb_instrs and costs = b.pb_costs in
     let nids = Array.unsafe_get rt.rt_nids bidx in
     for k = 0 to Array.length instrs - 1 do
@@ -1182,53 +1107,18 @@ let run_iteration (st : wstate) (rt : rtarget) ~(on_node : int -> unit)
       match Array.unsafe_get instrs k with
       | Psimple f -> f st regs
       | Pbuiltin { bi; bargs; bdst } ->
-          let argv = f_args bargs regs 0 (Array.length bargs) in
-          let v, cost = builtin bi argv ~has_dst:(bdst >= 0) in
+          let v, cost = builtin bi (f_args bargs regs 0 (Array.length bargs)) ~has_dst:(bdst >= 0) in
           st.st_total <- st.st_total +. cost;
           if bdst >= 0 then regs.(bdst) <- v
       | Pcall { ccallee; cargs; cdst; _ } ->
-          let v = w_exec_call st ccallee cargs regs in
+          let v = eng.e_call ccallee cargs regs in
           if cdst >= 0 then regs.(cdst) <- v
     done;
     st.st_total <- st.st_total +. Costmodel.terminator_cost;
-    let continue_to tgt =
-      if tgt = rt.rt_header then ()
-      else if tgt >= 0 && tgt < nblocks && rt.rt_in_loop.(tgt) then span tgt
-      else Diag.error "real-exec: iteration escaped the target loop"
-    in
-    match b.pb_term with
-    | Pjump j -> continue_to j
-    | Pbranch (c, l1, l2) -> (
-        match regs.(c) with
-        | Value.Vbool true -> continue_to l1
-        | Value.Vbool false -> continue_to l2
-        | v ->
-            ignore (Value.to_bool ~what:"branch condition" v);
-            assert false)
-    | Pbranch_raise fop ->
-        ignore (Value.to_bool ~what:"branch condition" (fop regs));
-        assert false
-    | Pret_reg _ | Pret_const _ | Pret_none ->
-        Diag.error "real-exec: iteration returned out of the target loop"
+    let j = next b.pb_term regs in
+    if j = rt.rt_header then ()
+    else if j >= 0 && j < nblocks && rt.rt_in_loop.(j) then span j
+    else if j = no_next then Diag.error "real-exec: iteration returned out of the target loop"
+    else Diag.error "real-exec: iteration escaped the target loop"
   in
   span rt.rt_body_entry
-
-(** Like {!run_main}, but an executor with hooks runs on the coarse
-    path: only [on_enter_func], [on_exit_func], [on_block] and
-    [on_output] fire (per-instruction and actuals hooks are skipped),
-    while {!total_cost} still advances per instruction. Block-grained
-    observers — the profiler — get fast-path speed this way. *)
-let run_main_coarse (ex : exec) : float =
-  match ex.ex_prepared.p_main with
-  | None -> Diag.error "program has no 'main' function"
-  | Some mainf ->
-      let st = ex.ex_state in
-      let fuel_before = st.st_fuel in
-      Metrics.incr m_exec_runs;
-      Fun.protect
-        ~finally:(fun () -> Metrics.add m_steps (fuel_before - st.st_fuel))
-        (fun () ->
-          match ex.ex_hooks with
-          | None -> ignore (f_exec_call st mainf [||] [||])
-          | Some h -> ignore (c_exec_call st h mainf [||] [||]));
-      st.st_total
