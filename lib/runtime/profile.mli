@@ -15,11 +15,10 @@ type loop_report = {
 
 type t = { reports : loop_report list; total : float }
 
-(** Profile the program and rank its loops by inclusive cost. Passing
-    [?prepared] (which must be [Precompile.prepare] of the same program)
-    runs the profiled execution on the prepared-program engine instead
-    of the tree-walking interpreter. *)
-val analyze : ?machine:Machine.t -> ?prepared:Precompile.t -> Ir.program -> t
+(** Profile the program and rank its loops by inclusive cost. The
+    profiled execution runs [prepared], which must be
+    [Precompile.prepare] of the same program, on the coarse path. *)
+val analyze : ?machine:Machine.t -> prepared:Precompile.t -> Ir.program -> t
 
 (** The hottest outermost loop — the parallelization target. *)
 val hottest : t -> loop_report option

@@ -222,9 +222,9 @@ let hooks_of_recorder rec_ : Interp.hooks =
         | None -> ());
   }
 
-(** Run the program once sequentially and record the trace of the PDG's
-    target loop. *)
-let record ?(machine = Machine.create ()) ?prepared (prog : Ir.program) (pdg : Pdg.t) :
+(** Run the program once sequentially on [prepared] (prepared from the
+    program given) and record the trace of the PDG's target loop. *)
+let record ?(machine = Machine.create ()) ~prepared (_ : Ir.program) (pdg : Pdg.t) :
     t * Machine.t =
   let tfunc = pdg.Pdg.func in
   let nid_of_iid =
@@ -256,11 +256,7 @@ let record ?(machine = Machine.create ()) ?prepared (prog : Ir.program) (pdg : P
     }
   in
   let hooks = hooks_of_recorder rec_ in
-  let total =
-    match prepared with
-    | Some p -> Precompile.run_main (Precompile.executor ~hooks ~machine p)
-    | None -> Interp.run_main (Interp.create ~hooks ~machine prog)
-  in
+  let total = Precompile.run_main (Precompile.executor ~hooks ~machine prepared) in
   (* the final header visit (the failing test) is not a real iteration:
      fold its cost into [other] *)
   (match rec_.cur_iter with

@@ -58,9 +58,9 @@ val node_mean_cost : t -> int -> float
 val loop_cost : t -> float
 
 (** Run the program once sequentially and record the trace of the PDG's
-    target loop. Passing [?prepared] (from [Precompile.prepare] of the
-    same program) records on the prepared-program engine. *)
-val record : ?machine:Machine.t -> ?prepared:Precompile.t -> Ir.program -> Pdg.t -> t * Machine.t
+    target loop, on [prepared] ([Precompile.prepare] of the same
+    program) with its instrumented path. *)
+val record : ?machine:Machine.t -> prepared:Precompile.t -> Ir.program -> Pdg.t -> t * Machine.t
 
 (** Update PDG node weights in place from the trace (profile-guided
     pipeline balancing, §4.5). *)

@@ -24,13 +24,12 @@ type inv = {
 }
 
 (** Run the program once under instrumentation and record member
-    instances with state snapshots. Passing [?prepared] (from
-    [Precompile.prepare] of the same program) records on the
-    prepared-program engine; replay always uses the reference
+    instances with state snapshots. The run is on [prepared] (from
+    [Precompile.prepare] of the same program); replay uses the reference
     interpreter's region/function entry points. *)
 val record :
   max_snapshots:int ->
-  ?prepared:Commset_runtime.Precompile.t ->
+  prepared:Commset_runtime.Precompile.t ->
   md:Metadata.t ->
   setup:(Machine.t -> unit) ->
   Ir.program ->
@@ -55,7 +54,7 @@ val refute_pair :
 val refine :
   ?max_snapshots:int ->
   ?max_trials:int ->
-  ?prepared:Commset_runtime.Precompile.t ->
+  prepared:Commset_runtime.Precompile.t ->
   md:Metadata.t ->
   setup:(Machine.t -> unit) ->
   Verdict.report ->

@@ -10,7 +10,7 @@ let src_log = Logs.Src.create "commset.verify" ~doc:"Commutativity annotation ve
 
 module Log = (val Logs.src_log src_log : Logs.LOG)
 
-let run ?(dynamic = true) ?(max_snapshots = 2) ?(max_trials = 3) ?prepared
+let run ?(dynamic = true) ?(max_snapshots = 2) ?(max_trials = 3) ~prepared
     ~(md : Metadata.t) ~target_fname ~(loop : A.Loops.loop)
     ~(induction : A.Induction.t) ~(setup : Machine.t -> unit) () :
     Verdict.report =
@@ -22,6 +22,6 @@ let run ?(dynamic = true) ?(max_snapshots = 2) ?(max_trials = 3) ?prepared
         (Verdict.n_unknown report) (Verdict.n_refuted report));
   if dynamic then begin
     Log.debug (fun m -> m "dynamic replay: refining unknown pairs");
-    Dynamic.refine ~max_snapshots ~max_trials ?prepared ~md ~setup report
+    Dynamic.refine ~max_snapshots ~max_trials ~prepared ~md ~setup report
   end
   else report
