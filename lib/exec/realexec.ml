@@ -408,6 +408,8 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
         Fun.protect ~finally:(fun () -> Domain.DLS.set out_key None) @@ fun () ->
         let wst = Precompile.worker_state ex ~fuel:max_int in
         let ring = rings.(wi) in
+        let pert = Perturb.create ~stream:wi in
+        let perturb () = match pert with Some p -> Perturb.point p | None -> () in
         let burner = Burn.create () in
         let last_burned = ref 0. in
         let burn_to () =
@@ -466,6 +468,7 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
           held := a;
           for i = 0 to Array.length a - 1 do
             let li = Array.unsafe_get a i in
+            perturb ();
             if prof then begin
               let t0 = Clock.now_ns () in
               Locks.acquire locks li;
@@ -486,6 +489,7 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
         in
         let on_node nid =
           burn_to ();
+          perturb ();
           transition nid
         in
         let on_contend () = wcontended.(wi) <- wcontended.(wi) + 1 in
@@ -515,6 +519,7 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
         in
         let ordered_call (bi : Builtins.t) argv =
           burn_to ();
+          perturb ();
           await ();
           let r = mutexed bi argv No_alloc in
           bump ();
@@ -568,6 +573,7 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
                     cg_node =
                       (fun nid ->
                         burn_to ();
+                        perturb ();
                         if nid <> !cur_nid then transition nid);
                     cg_builtin = builtin;
                     cg_charge =
@@ -609,6 +615,7 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
             | None -> Precompile.run_iteration wst rt ~on_node ~builtin regs);
             exit_node ();
             burn_to ();
+            perturb ();
             release_iter k;
             if prof then Attrib.iter_end aw (Clock.now_ns ());
             loop_items ()
@@ -642,7 +649,9 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
       let finished = ref false in
       let merge_s = ref 0. in
       let prof_coord = Attrib.enabled att in
+      let coord_pert = Perturb.create ~stream:w in
       let ring_push ring v =
+        (match coord_pert with Some p -> Perturb.point p | None -> ());
         if not (Spsc.try_push ring v) then begin
           incr full_waits;
           let t0 = if prof_coord then Clock.now_ns () else 0. in

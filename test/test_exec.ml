@@ -4,9 +4,9 @@
     one prepared program, the CS014 refusals of unsupported plans and
     of loop shapes the real engine cannot split, and a differential
     suite — every workload, every executable plan, the default engine
-    with calibrated CPU burn switched on vs the sequential reference at
-    jobs 1, 2 and 4 (the zero-burn real-engine differential lives in
-    {!Test_realexec}). *)
+    under seeded schedule perturbation ({!Commset_exec.Perturb}) vs the
+    sequential reference at jobs 1, 2 and 4 (the unperturbed real-engine
+    differential lives in {!Test_realexec}). *)
 
 module P = Commset_pipeline.Pipeline
 module W = Commset_workloads.Workload
@@ -17,6 +17,7 @@ module Diag = Commset_support.Diag
 module Spsc = Commset_exec.Spsc
 module Equiv = Commset_exec.Equiv
 module Exec = Commset_exec.Exec
+module Perturb = Commset_exec.Perturb
 module R = Commset_runtime
 
 let check = Alcotest.check
@@ -234,22 +235,24 @@ let test_md5sum_both_shapes () =
         (x.P.xfidelity <> P.Mismatch))
     [ List.hd doall; List.hd pipe ]
 
-(* ---- differential suite with calibrated CPU burn switched on ---- *)
+(* ---- differential suite under seeded schedule perturbation ---- *)
 
-(* The real-engine differential in {!Test_realexec} runs at zero
-   ns/cycle, so the workers' burn pacing is a no-op there. Here every
-   compute segment burns a small calibrated amount of CPU work between
-   the engine's lock, queue and merge steps, and each executable plan
-   of the default engine must still match the sequential reference at
-   jobs 1, 2 and 4 without occupying more domains than its budget. *)
-let burn_ns_per_cycle = 0.01
+(* The real-engine differential in {!Test_realexec} runs unperturbed.
+   Here a seeded {!Commset_exec.Perturb} stream spins between the
+   engine's lock, queue and merge steps on every domain, and each
+   executable plan of the default engine must still match the
+   sequential reference at jobs 1, 2 and 4 without occupying more
+   domains than its budget. Every run must also show the perturber
+   fired, so the suite cannot silently degrade into the unperturbed
+   differential. *)
+let perturb_seed = 0x5eed
 
 let exec_all_plans (w : W.t) () =
-  let saved = Costmodel.exec_ns_per_cycle () in
+  let saved = Perturb.seed () in
   Fun.protect
-    ~finally:(fun () -> Costmodel.set_exec_ns_per_cycle saved)
+    ~finally:(fun () -> Perturb.set_seed saved)
     (fun () ->
-      Costmodel.set_exec_ns_per_cycle burn_ns_per_cycle;
+      Perturb.set_seed (Some perturb_seed);
       let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
       List.iter
         (fun jobs ->
@@ -260,10 +263,15 @@ let exec_all_plans (w : W.t) () =
               true (plans <> []);
           List.iter
             (fun (plan : T.Plan.t) ->
+              let fired0 = Perturb.fired () in
               let x = P.run_parallel ~jobs c plan in
               if x.P.xfidelity = P.Mismatch then
                 Alcotest.failf "%s: %s at %d job(s): output mismatch" w.W.wname
                   plan.T.Plan.label jobs;
+              check Alcotest.bool
+                (Printf.sprintf "%s at %d job(s): perturber fired" plan.T.Plan.label jobs)
+                true
+                (Perturb.fired () > fired0);
               (* a DSWP plan with fewer stages than the budget occupies
                  fewer domains; it must never occupy more *)
               check Alcotest.bool
@@ -275,6 +283,7 @@ let exec_all_plans (w : W.t) () =
             plans)
         [ 1; 2; 4 ])
 
+(* the names predate the perturber and are kept stable *)
 let differential_cases =
   List.map
     (fun w ->
