@@ -424,11 +424,10 @@ let json_of_measured (jobs, rows) =
   ] }|} jobs entries
 
 (* ------------------------------------------------------------------ *)
-(* Execution observatory: attribution profiles, calibration fidelity   *)
-(* and the attribution overhead gate                                   *)
+(* Execution observatory: attribution profiles and the attribution     *)
+(* overhead gate                                                       *)
 (* ------------------------------------------------------------------ *)
 
-module Costmodel = Commset_runtime.Costmodel
 module Calib = Commset_runtime.Calib
 module Attrib = Obs.Attrib
 
@@ -438,10 +437,10 @@ type profile_row = {
   ep_engine : string;
   ep_p95_lock_wait_ns : float;
   ep_p95_frontier_wait_ns : float;
-  ep_gap_uncal : float;  (** |predicted − measured| / measured, before calibration *)
-  ep_gap_cal : float;  (** same gap after Calib.apply + recompile + rerun *)
-  ep_improved : bool;
-  ep_ns_per_cycle : float;  (** the profile's measured ns per non-builtin cycle *)
+  ep_gap : float;  (** |predicted − measured| / measured *)
+  ep_ns_per_cycle : float;
+      (** the calibration profile's measured ns per non-builtin cycle;
+          0 when the run measured none *)
   ep_oversubscribed : bool;
 }
 
@@ -455,33 +454,22 @@ type overhead_row = {
           scheduler noise, so the CI gate skips it *)
 }
 
-let speedup_gap ~predicted ~measured =
-  Float.abs (predicted -. measured) /. Float.max 1e-9 measured
-
 let cause_p95 (s : Attrib.summary) name =
   match List.find_opt (fun c -> c.Attrib.c_name = name) s.Attrib.a_causes with
   | Some c -> c.Attrib.c_p95_ns
   | None -> 0.
 
-(** Per workload: run the best executable plan with attribution on,
-    record the p95 lock/frontier waits and the predicted-vs-measured
-    gap; then derive a calibration profile from that very run, apply it,
-    recompile (the builtin cost scales change the recorded trace costs,
-    hence the simulator's prediction) and rerun to see whether the gap
-    shrank. The cost model is restored between workloads so profiles
-    never leak across rows. *)
+(** Per workload: run the best executable plan with attribution on and
+    record the p95 lock/frontier waits, the predicted-vs-measured gap
+    and the calibration profile's measured ns per cycle. *)
 let bench_exec_profile evals : int * bool * profile_row list =
   let jobs = Commset_exec.Exec.default_jobs () in
   let cores = Domain.recommended_domain_count () in
   let oversubscribed = cores < jobs + 1 in
-  section
-    (Printf.sprintf "Execution observatory: attribution and calibration (jobs=%d)" jobs);
+  section (Printf.sprintf "Execution observatory: attribution profiles (jobs=%d)" jobs);
   if oversubscribed then
-    Printf.printf
-      "  note: %d core(s) for %d domain(s); calibration-fidelity gates skip \
-       oversubscribed entries\n"
+    Printf.printf "  note: %d core(s) for %d domain(s); entries flagged oversubscribed\n"
       cores (jobs + 1);
-  let ns0 = Costmodel.exec_ns_per_cycle () in
   let rows =
     List.filter_map
       (fun be ->
@@ -498,66 +486,32 @@ let bench_exec_profile evals : int * bool * profile_row list =
               jobs;
             None
         | Some r -> (
-            let x0 = P.run_parallel ~jobs c r.P.plan in
-            match x0.P.xstats.Commset_exec.Exec.x_attrib with
+            let x = P.run_parallel ~jobs c r.P.plan in
+            let xs = x.P.xstats in
+            match xs.Commset_exec.Exec.x_attrib with
             | None ->
                 Printf.printf "  %-10s ran without attribution (%s); skipped\n"
-                  c.P.name x0.P.xstats.Commset_exec.Exec.x_engine;
+                  c.P.name xs.Commset_exec.Exec.x_engine;
                 None
             | Some s ->
-                let measured0 = x0.P.xstats.Commset_exec.Exec.x_measured_speedup in
-                let gap0 = speedup_gap ~predicted:x0.P.xpredicted ~measured:measured0 in
-                let gap1, npc =
+                let measured = xs.Commset_exec.Exec.x_measured_speedup in
+                let npc =
                   match
-                    Calib.of_summary ~workload:c.P.name
-                      ~engine:x0.P.xstats.Commset_exec.Exec.x_engine
-                      ~predicted:x0.P.xpredicted ~measured:measured0 s
+                    Calib.of_summary ~workload:c.P.name ~engine:xs.Commset_exec.Exec.x_engine
+                      ~predicted:x.P.xpredicted ~measured s
                   with
-                  | Error _ -> (gap0, 0.)
-                  | Ok p ->
-                      Fun.protect
-                        ~finally:(fun () ->
-                          Calib.clear ();
-                          Costmodel.set_exec_ns_per_cycle ns0)
-                        (fun () ->
-                          Calib.apply p;
-                          match Registry.find c.P.name with
-                          | None -> (gap0, p.Calib.p_ns_per_cycle)
-                          | Some w ->
-                              let c2 =
-                                P.compile ~name:c.P.name ~setup:w.W.setup w.W.source
-                              in
-                              let plan2 =
-                                let label = r.P.plan.T.Plan.label in
-                                match
-                                  List.find_opt
-                                    (fun (p : T.Plan.t) -> p.T.Plan.label = label)
-                                    (P.executable_plans c2 ~threads:jobs)
-                                with
-                                | Some p -> Some p
-                                | None ->
-                                    List.nth_opt (P.executable_plans c2 ~threads:jobs) 0
-                              in
-                              (match plan2 with
-                              | None -> (gap0, p.Calib.p_ns_per_cycle)
-                              | Some plan2 ->
-                                  let x1 = P.run_parallel ~jobs c2 plan2 in
-                                  ( speedup_gap ~predicted:x1.P.xpredicted
-                                      ~measured:
-                                        x1.P.xstats
-                                          .Commset_exec.Exec.x_measured_speedup,
-                                    p.Calib.p_ns_per_cycle )))
+                  | Ok p -> p.Calib.p_ns_per_cycle
+                  | Error _ -> 0.
                 in
                 Some
                   {
                     ep_workload = c.P.name;
                     ep_plan = r.P.plan.T.Plan.label;
-                    ep_engine = x0.P.xstats.Commset_exec.Exec.x_engine;
+                    ep_engine = xs.Commset_exec.Exec.x_engine;
                     ep_p95_lock_wait_ns = cause_p95 s "lock_wait";
                     ep_p95_frontier_wait_ns = cause_p95 s "frontier_wait";
-                    ep_gap_uncal = gap0;
-                    ep_gap_cal = gap1;
-                    ep_improved = gap1 < gap0;
+                    ep_gap =
+                      Float.abs (x.P.xpredicted -. measured) /. Float.max 1e-9 measured;
                     ep_ns_per_cycle = npc;
                     ep_oversubscribed = oversubscribed;
                   }))
@@ -566,13 +520,11 @@ let bench_exec_profile evals : int * bool * profile_row list =
   List.iter
     (fun r ->
       Printf.printf
-        "  %-10s %-40s p95 lock %8.1fus  p95 frontier %8.1fus  gap %5.1f%% -> %5.1f%% %s\n"
+        "  %-10s %-40s p95 lock %8.1fus  p95 frontier %8.1fus  gap %5.1f%%  %.2f ns/cycle\n"
         r.ep_workload r.ep_plan
         (r.ep_p95_lock_wait_ns /. 1e3)
         (r.ep_p95_frontier_wait_ns /. 1e3)
-        (100. *. r.ep_gap_uncal) (100. *. r.ep_gap_cal)
-        (if r.ep_improved then "(improved)" else "")
-    )
+        (100. *. r.ep_gap) r.ep_ns_per_cycle)
     rows;
   (jobs, oversubscribed, rows)
 
@@ -637,10 +589,10 @@ let json_of_exec_profile (jobs, oversubscribed, rows) overhead =
     rows
     |> List.map (fun r ->
            Printf.sprintf
-             {|{ "workload": "%s", "plan": "%s", "engine": "%s", "p95_lock_wait_ns": %.1f, "p95_frontier_wait_ns": %.1f, "gap_uncalibrated": %.4f, "gap_calibrated": %.4f, "improved": %b, "ns_per_cycle": %.4f, "oversubscribed": %b }|}
+             {|{ "workload": "%s", "plan": "%s", "engine": "%s", "p95_lock_wait_ns": %.1f, "p95_frontier_wait_ns": %.1f, "gap": %.4f, "ns_per_cycle": %.4f, "oversubscribed": %b }|}
              r.ep_workload (String.escaped r.ep_plan) r.ep_engine
-             r.ep_p95_lock_wait_ns r.ep_p95_frontier_wait_ns r.ep_gap_uncal
-             r.ep_gap_cal r.ep_improved r.ep_ns_per_cycle r.ep_oversubscribed)
+             r.ep_p95_lock_wait_ns r.ep_p95_frontier_wait_ns r.ep_gap r.ep_ns_per_cycle
+             r.ep_oversubscribed)
     |> String.concat ",\n    "
   in
   let overhead_entries =
@@ -658,74 +610,6 @@ let json_of_exec_profile (jobs, oversubscribed, rows) overhead =
     %s
   ] }|}
     jobs oversubscribed row_entries overhead_entries
-
-(* ------------------------------------------------------------------ *)
-(* Serve leg: daemon throughput and tail latency under a seeded load   *)
-(* ------------------------------------------------------------------ *)
-
-module Server = Commset_serve.Server
-module Gen = Commset_serve.Gen
-
-(** A bounded selftest through the real daemon: open-loop seeded
-    arrivals over the default url/md5sum/geti blend, warm pool, plan
-    cache, Equiv sampling — the same path [commsetc serve --selftest]
-    exercises, just small enough for a bench leg. The offered rate is
-    deliberately above what one worker sustains so the queue-wait
-    histogram measures admission backlog rather than generator idle
-    time. *)
-let bench_serve () : Server.report =
-  section "Serve: daemon throughput and tail latency";
-  let lookup name =
-    match Registry.find name with
-    | Some w -> Ok (w.W.source, w.W.setup)
-    | None -> Error (Printf.sprintf "unknown workload %S" name)
-  in
-  let cfg =
-    { (Server.default_config ~lookup) with
-      Server.s_jobs = Pool.default_jobs ();
-      s_equiv_every = 25;
-    }
-  in
-  let load =
-    { Server.l_spec = { Gen.default_spec with Gen.g_rate = 2000. };
-      l_requests = 200;
-    }
-  in
-  let r = Server.run ~load cfg in
-  Printf.printf
-    "  %d requests (%d served, %d failed)  %.1f rps  drained=%b\n"
-    r.Server.r_offered r.r_served r.r_failed r.r_throughput_rps r.r_drained;
-  Printf.printf
-    "  latency p50/p95/p99 us  queue %.0f/%.0f/%.0f  service %.0f/%.0f/%.0f\n"
-    r.r_queue.Server.p50_us r.r_queue.p95_us r.r_queue.p99_us
-    r.r_service.Server.p50_us r.r_service.p95_us r.r_service.p99_us;
-  let c = r.r_cache in
-  Printf.printf "  plan cache: %d hits %d misses  equiv %d checked %d failed%s\n"
-    c.Commset_serve.Plancache.pc_hits c.pc_misses r.r_equiv_checked
-    r.r_equiv_failures
-    (if r.r_oversubscribed then "  (oversubscribed)" else "");
-  r
-
-let json_of_serve (r : Server.report) =
-  let lat (l : Server.latency) =
-    Printf.sprintf
-      {|{ "p50_us": %.1f, "p95_us": %.1f, "p99_us": %.1f, "mean_us": %.1f }|}
-      l.Server.p50_us l.p95_us l.p99_us l.mean_us
-  in
-  let c = r.Server.r_cache in
-  let looked_up = c.Commset_serve.Plancache.pc_hits + c.pc_misses in
-  let hit_rate =
-    if looked_up = 0 then 0.
-    else float_of_int c.Commset_serve.Plancache.pc_hits /. float_of_int looked_up
-  in
-  Printf.sprintf
-    {|{ "requests_offered": %d, "requests_served": %d, "requests_failed": %d, "throughput_rps": %.1f, "offered_rate_rps": %s, "jobs": %d, "available_cores": %d, "oversubscribed": %b, "latency_us": { "queue": %s, "service": %s, "total": %s }, "plan_cache_hit_rate": %.4f, "equiv_checked": %d, "equiv_failures": %d, "drained": %b }|}
-    r.Server.r_offered r.r_served r.r_failed r.r_throughput_rps
-    (match r.r_offered_rate_rps with
-    | Some x -> Printf.sprintf "%.1f" x
-    | None -> "null")
-    r.r_jobs r.r_cores r.r_oversubscribed (lat r.r_queue) (lat r.r_service)
-    (lat r.r_total) hit_rate r.r_equiv_checked r.r_equiv_failures r.r_drained
 
 (* ------------------------------------------------------------------ *)
 (* Codegen leg: interpreter vs compiled iteration throughput           *)
@@ -754,9 +638,7 @@ type codegen_row = {
     worker's [on_node] fires at run-time transitions, the compiled
     one's [cg_node] at static block-level boundaries. Rings, domains, locks
     and the merge phase are identical in both engines and only dilute
-    the ratio, so they are out of the picture; cycle realization is
-    off for the same reason
-    (both sides would burn the same calibrated work). Both bodies are
+    the ratio, so they are out of the picture. Both bodies are
     timed in alternating rounds — interp pass, compiled pass, repeat —
     with a major GC slice before every timed pass, and each side
     reports its median: on a loaded box a best-of-N lets one lucky
@@ -771,10 +653,6 @@ let bench_codegen_throughput evals : codegen_row list =
   let module Abi = Commset_codegen.Abi in
   let module Codegen = Commset_codegen.Codegen in
   let module Clock = Obs.Clock in
-  let saved_ns = R.Costmodel.exec_ns_per_cycle () in
-  R.Costmodel.set_exec_ns_per_cycle 0.0;
-  Fun.protect ~finally:(fun () -> R.Costmodel.set_exec_ns_per_cycle saved_ns)
-  @@ fun () ->
   let rounds = 7 in
   let median xs =
     let a = Array.of_list xs in
@@ -979,8 +857,7 @@ let json_of_synthesis rows =
     %s
   ]|}
 
-let bench_wall_clock ~quick ~overhead ~measured ~codegen ~synthesis ~exec_profile
-    ~serve =
+let bench_wall_clock ~quick ~overhead ~measured ~codegen ~synthesis ~exec_profile =
   section "Pipeline wall-clock: sequential vs parallel";
   let seq = measure_stages ~sweep:(not quick) ~jobs:1 in
   (* Pool.default_jobs honors COMMSET_JOBS; Domain.recommended_domain_count
@@ -1036,8 +913,7 @@ let bench_wall_clock ~quick ~overhead ~measured ~codegen ~synthesis ~exec_profil
   "codegen": %s,
   "synthesis": %s,
   "recorder": %s,
-  "exec_profile": %s,
-  "serve": %s
+  "exec_profile": %s
 }
 |}
     quick cores cores par_jobs (json_of_stages seq)
@@ -1045,7 +921,7 @@ let bench_wall_clock ~quick ~overhead ~measured ~codegen ~synthesis ~exec_profil
     (match par with Some (_, s, _) -> Printf.sprintf "%.3f" s | None -> "null")
     (match par with Some (_, _, i) -> string_of_bool i | None -> "null")
     (json_of_measured measured) (json_of_codegen codegen)
-    (json_of_synthesis synthesis) (json_of_overhead overhead) exec_profile serve;
+    (json_of_synthesis synthesis) (json_of_overhead overhead) exec_profile;
   close_out oc;
   Printf.printf "  wrote BENCH_commset.json\n"
 
@@ -1132,6 +1008,4 @@ let () =
   let profile = bench_exec_profile evals in
   let attrib_overhead = bench_attrib_overhead md5_comp in
   let exec_profile = json_of_exec_profile profile attrib_overhead in
-  let serve = json_of_serve (bench_serve ()) in
   bench_wall_clock ~quick ~overhead ~measured ~codegen ~synthesis ~exec_profile
-    ~serve

@@ -208,9 +208,9 @@ let engine_cell ~requested (s : Commset_exec.Exec.stats) =
     | Some why -> Printf.sprintf "%s (requested %s: %s)" s.Commset_exec.Exec.x_engine req why
     | None -> Printf.sprintf "%s (requested %s)" s.Commset_exec.Exec.x_engine req
 
-(* [--calibrate]: load the persisted profile for this workload and feed
-   it into Costmodel before any plan runs; a missing profile is a
-   warning, not an error (the run proceeds uncalibrated). *)
+(* [--calibrate]: load the persisted profile for this workload and
+   install its builtin cost scales before any plan runs; a missing
+   profile is a warning, not an error (the run proceeds uncalibrated). *)
 let apply_calibration ~name =
   match R.Calib.load ~workload:name with
   | Ok p ->

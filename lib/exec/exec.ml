@@ -7,7 +7,6 @@ module Sync = Commset_transforms.Sync
 module Emit = Commset_transforms.Emit
 module Pdg = Commset_pdg.Pdg
 module R = Commset_runtime
-module Costmodel = Commset_runtime.Costmodel
 module Recorder = Commset_obs.Recorder
 module Metrics = Commset_obs.Metrics
 module Clock = Commset_obs.Clock
@@ -78,16 +77,14 @@ let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 (** The equivalence reference and the measured baseline: a fresh
     sequential execution of the prepared program on a fresh machine (not
     merely the recorded trace — the reference the user cares about is
-    what the sequential program actually prints today). The run also
-    burns its charged cycles at the executor's scale, making its wall
-    time the like-for-like baseline for the parallel leg. *)
+    what the sequential program actually prints today). Its wall time
+    is pure execution, like the parallel leg's. *)
 let seq_reference ~(prepared : R.Precompile.t) ~setup : string list * float * float =
   Recorder.with_span ~cat:"exec" "exec.seq_reference" @@ fun () ->
   let machine = R.Machine.create () in
   setup machine;
   let t0 = Clock.now_ns () in
   let total = R.Precompile.run_main (R.Precompile.executor ~machine prepared) in
-  if Costmodel.exec_ns_per_cycle () > 0. then Burn.burn (Burn.create ()) total;
   let wall = (Clock.now_ns () -. t0) /. 1e9 in
   (R.Machine.outputs machine, wall, total)
 

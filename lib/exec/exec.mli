@@ -7,8 +7,7 @@
     target-loop iteration's live register file to worker domains, which
     execute the full iteration body against the shared machine, with
     commset locks, an iteration frontier for value-carrying dependences,
-    per-domain buffering of order-free updates, and calibrated CPU work
-    realizing the cost model's cycles ({!Realexec}). When
+    and per-domain buffering of order-free updates ({!Realexec}). When
     {!Commset_runtime.Precompile.plan_real} refuses the loop shape, the
     run is refused with a CS014 diagnostic carrying the reason.
 

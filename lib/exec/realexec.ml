@@ -389,7 +389,6 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
       let wbuffered = Array.make w 0 in
       let wtransitions = Array.make w 0 in
       let full_waits = ref 0 in
-      let ns = Costmodel.exec_ns_per_cycle () in
       (* attribution layer: per-worker accumulators, machine mutex as a
          pseudo-lock one past the commset lock table *)
       let lock_names = Array.map (fun (ls : Sim.lock_spec) -> ls.Sim.lname) emitted.Emit.locks in
@@ -410,16 +409,6 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
         let ring = rings.(wi) in
         let pert = Perturb.create ~stream:wi in
         let perturb () = match pert with Some p -> Perturb.point p | None -> () in
-        let burner = Burn.create () in
-        let last_burned = ref 0. in
-        let burn_to () =
-          if ns > 0. then begin
-            let t = Precompile.wstate_total wst in
-            let d = t -. !last_burned in
-            last_burned := t;
-            if d > 0. then Burn.burn burner d
-          end
-        in
         let priv_bm : (int, Bytes.t) Hashtbl.t = Hashtbl.create 8 in
         let cur_k = ref 0 in
         let cur_nid = ref (-1) in
@@ -488,7 +477,6 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
           if nid >= 0 then enter_node nid
         in
         let on_node nid =
-          burn_to ();
           perturb ();
           transition nid
         in
@@ -518,7 +506,6 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
               raise e
         in
         let ordered_call (bi : Builtins.t) argv =
-          burn_to ();
           perturb ();
           await ();
           let r = mutexed bi argv No_alloc in
@@ -546,11 +533,9 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
         let builtin (bi : Builtins.t) argv ~has_dst:_ =
           if not prof then builtin_raw bi argv
           else begin
-            (* realize pending burn first so it lands in compute, then
-               net out waits the builtin performs internally (frontier
+            (* net out waits the builtin performs internally (frontier
                await, machine-mutex acquisition) — they are charged to
                their own causes *)
-            burn_to ();
             let t0 = Clock.now_ns () in
             let w0 = Attrib.inner_waits aw in
             let ((_, cost) as r) = builtin_raw bi argv in
@@ -572,7 +557,6 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
                     cg_gdefined = Precompile.wstate_gdefined wst;
                     cg_node =
                       (fun nid ->
-                        burn_to ();
                         perturb ();
                         if nid <> !cur_nid then transition nid);
                     cg_builtin = builtin;
@@ -614,7 +598,6 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
             | Some (fn, ctx) -> fn ctx regs
             | None -> Precompile.run_iteration wst rt ~on_node ~builtin regs);
             exit_node ();
-            burn_to ();
             perturb ();
             release_iter k;
             if prof then Attrib.iter_end aw (Clock.now_ns ());
@@ -711,24 +694,17 @@ let run ?(codegen = false) ?(attrib = true) ~(plan : Plan.t) ~(pdg : Pdg.t)
           ring_push rings.(k mod w) (k, Array.copy regs)
         end
       in
-      let burner = Burn.create () in
       let t0 = Clock.now_ns () in
-      let coord_total =
-        Fun.protect
-          ~finally:(fun () ->
-            if not !finished then begin
-              Atomic.set abort true;
-              join_all ()
-            end)
-          (fun () ->
-            Recorder.with_span ~cat:"exec" "exec.real_coordinator" @@ fun () ->
-            let t = Precompile.run_main_real ex rt ~on_iter ~on_loop_done:finish in
-            finish ();
-            t)
-      in
-      (* the coordinator's own charged cycles — prologue, loop control,
-         epilogue — are serial work, realized like the workers' *)
-      if ns > 0. then Burn.burn burner coord_total;
+      Fun.protect
+        ~finally:(fun () ->
+          if not !finished then begin
+            Atomic.set abort true;
+            join_all ()
+          end)
+        (fun () ->
+          Recorder.with_span ~cat:"exec" "exec.real_coordinator" @@ fun () ->
+          ignore (Precompile.run_main_real ex rt ~on_iter ~on_loop_done:finish : float);
+          finish ());
       let wall_par_s = (Clock.now_ns () -. t0) /. 1e9 in
       let sum a = Array.fold_left ( + ) 0 a in
       let steps = Precompile.steps ex + sum wsteps in

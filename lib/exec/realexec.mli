@@ -42,11 +42,11 @@
     run on warm leased domains ({!Workers.lease}), parked between runs
     instead of spawned and joined per run.
 
-    Simulated cycles retired by each domain are realized as calibrated
-    CPU work ({!Burn}) at {!Commset_runtime.Costmodel.exec_ns_per_cycle}
-    nanoseconds per cycle, so measured speedups reflect the cost model's
-    work distribution; with the scale set to [0.] the engine exercises
-    only semantics and synchronization (differential tests). *)
+    Every domain executes only the program's own work: the measured
+    parallel leg is the wall time of that execution plus dispatch,
+    synchronization and merge, with nothing synthetic added. A seeded
+    {!Perturb} stream per domain can stretch the scheduling points
+    (differential tests); it is off unless a seed is set. *)
 
 module Plan = Commset_transforms.Plan
 module Emit = Commset_transforms.Emit

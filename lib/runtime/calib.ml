@@ -45,12 +45,10 @@ let of_summary ~workload ~engine ~predicted ~measured (s : Commset_obs.Attrib.su
   in
   let non_builtin_cycles = s.a_charged_cycles -. builtin_cycles in
   if s.a_charged_cycles <= 0. then Error "run retired no charged cycles"
+  else if non_builtin_cycles <= 0. || s.a_compute_ns <= 0. then
+    Error "run measured no non-builtin compute"
   else begin
-    let ns_per_cycle =
-      if non_builtin_cycles > 0. && s.a_compute_ns > 0. then
-        s.a_compute_ns /. non_builtin_cycles
-      else Costmodel.exec_ns_per_cycle ()
-    in
+    let ns_per_cycle = s.a_compute_ns /. non_builtin_cycles in
     let builtins =
       List.filter_map
         (fun b ->
@@ -59,7 +57,7 @@ let of_summary ~workload ~engine ~predicted ~measured (s : Commset_obs.Attrib.su
             let calls = float_of_int b.b_calls in
             let mean_ns = b.b_wall_ns /. calls in
             let mean_cycles = b.b_cost_cycles /. calls in
-            if mean_cycles <= 0. || ns_per_cycle <= 0. then None
+            if mean_cycles <= 0. then None
             else
               let implied_cycles = mean_ns /. ns_per_cycle in
               let scale =
@@ -204,9 +202,6 @@ let load ~workload =
     with Sys_error e -> Error e
 
 let apply p =
-  Costmodel.set_exec_ns_per_cycle p.p_ns_per_cycle;
   Builtins.set_cost_scales (List.map (fun b -> (b.cb_name, b.cb_scale)) p.p_builtins)
 
-let clear () =
-  Builtins.clear_cost_scales ();
-  Costmodel.reset_exec_ns_per_cycle ()
+let clear () = Builtins.clear_cost_scales ()

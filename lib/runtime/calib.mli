@@ -1,25 +1,23 @@
 (** Persisted per-workload calibration profiles: the feedback loop from
-    measured execution attribution back into {!Costmodel} and the
-    builtin registry's cost scales.
+    measured execution attribution back into the builtin registry's cost
+    scales, which price the simulator's predictions.
 
     The real engine's attribution summary measures (a) how many
     nanoseconds of wall time one simulated cycle of loop-body work
-    actually costs on this machine — interpreter/compiled-code dispatch
-    plus the calibrated burn — and (b) how long each builtin's real
-    implementation takes per call versus the cycles the cost model
-    charges for it. {!of_summary} turns one measured run into a profile;
-    {!save} persists it as JSON under [$COMMSET_CALIB_DIR] (default
-    [_build/calib]); {!apply} feeds a loaded profile into
-    [Costmodel.set_exec_ns_per_cycle] and
-    [Builtins.set_cost_scales].
+    actually costs on this machine (interpreter or compiled-code
+    dispatch) and (b) how long each builtin's real implementation takes
+    per call versus the cycles the cost model charges for it. Each
+    builtin's scale is (b) expressed in cycles of (a) over its charged
+    cycles. {!of_summary} turns one measured run into a profile; {!save}
+    persists it as JSON under [$COMMSET_CALIB_DIR] (default
+    [_build/calib]); {!apply} installs a loaded profile's builtin scales
+    through [Builtins.set_cost_scales]. A profile never changes how
+    programs execute, only how their cycles are priced.
 
-    Calibration is strictly opt-in ([commsetc run/stat --calibrate], the
-    bench harness's ["exec_profile"] leg): nothing is loaded or applied
-    implicitly, so determinism-sensitive paths (byte-identical paper
-    tables) are unaffected unless a caller asks. Precedence once applied:
-    [apply] overrides the [COMMSET_EXEC_NS_PER_CYCLE] environment value
-    (it goes through [set_exec_ns_per_cycle]); {!clear} restores the
-    environment/default behaviour and deactivates the builtin scales. *)
+    Calibration is strictly opt-in ([commsetc run/stat --calibrate]):
+    nothing is loaded or applied implicitly, so determinism-sensitive
+    paths (byte-identical paper tables) are unaffected unless a caller
+    asks; {!clear} deactivates the builtin scales. *)
 
 type builtin_calib = {
   cb_name : string;
@@ -52,8 +50,8 @@ val dir : unit -> string
 val path : workload:string -> string
 
 (** Derive a profile from a measured attribution summary. Returns
-    [Error] when the run retired no charged cycles (nothing to
-    calibrate on). *)
+    [Error] when the run retired no charged cycles or measured no
+    non-builtin compute (no ns-per-cycle to express builtin costs in). *)
 val of_summary :
   workload:string ->
   engine:string ->
@@ -72,11 +70,9 @@ val save : profile -> (string, string) result
 (** Load the persisted profile for a workload from {!dir}. *)
 val load : workload:string -> (profile, string) result
 
-(** Install the profile: [p_ns_per_cycle] via
-    [Costmodel.set_exec_ns_per_cycle] and the builtin scales via
-    [Builtins.set_cost_scales]. *)
+(** Install the profile's builtin scales via [Builtins.set_cost_scales];
+    [p_ns_per_cycle] is a measurement only and installs nothing. *)
 val apply : profile -> unit
 
-(** Undo {!apply}: builtin scales cleared, [exec_ns_per_cycle] back to
-    the environment/default. *)
+(** Undo {!apply}: builtin scales cleared. *)
 val clear : unit -> unit

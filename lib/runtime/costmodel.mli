@@ -48,20 +48,10 @@ val queue_capacity : int Atomic.t
 
 (* real-execution realization (shared with the Commset_exec backend) *)
 
-(** Nanoseconds of real CPU work per simulated cycle used by the real
-    multicore executor; the simulator's cycle counts and the executor's
-    wall-clock measurements meet through this one constant (DESIGN §13).
-    Initialized from [COMMSET_EXEC_NS_PER_CYCLE] (default 1.0) on first
-    read; a malformed value raises a CS013 {!Commset_support.Diag.Error}. *)
+(** Always [0.]: executors add no synthetic work to the program's own
+    execution (DESIGN §13). Its only reader is the perfbench harness's
+    start-up guard, which refuses to time a build that would. *)
 val exec_ns_per_cycle : unit -> float
-
-(** Override the scale (tests and the bench harness). *)
-val set_exec_ns_per_cycle : float -> unit
-
-(** Forget any override and re-read [COMMSET_EXEC_NS_PER_CYCLE] (or the
-    default) on next access — undoes both [set_exec_ns_per_cycle] and a
-    loaded calibration profile. *)
-val reset_exec_ns_per_cycle : unit -> unit
 
 (** Spin rounds the executor's adaptive backoff burns with
     [Domain.cpu_relax] before it starts yielding to the OS scheduler.

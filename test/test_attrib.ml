@@ -11,7 +11,6 @@ module P = Commset_pipeline.Pipeline
 module W = Commset_workloads.Workload
 module Registry = Commset_workloads.Registry
 module T = Commset_transforms
-module Costmodel = Commset_runtime.Costmodel
 module Calib = Commset_runtime.Calib
 module Builtins = Commset_runtime.Builtins
 module Exec = Commset_exec.Exec
@@ -57,7 +56,6 @@ let assert_conserved ~what (s : Attrib.summary) =
 (* ---- conservation: every workload, jobs 1/2/4 ---- *)
 
 let conservation_one (w : W.t) () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
   List.iter
     (fun jobs ->
@@ -93,7 +91,6 @@ let conservation_cases =
     make a single run complete without blocking, so retry a few times
     before declaring the cause dead. *)
 let test_frontier_nonzero () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   List.iter
     (fun wname ->
       let w = Option.get (Registry.find wname) in
@@ -121,7 +118,6 @@ let test_frontier_nonzero () =
 (** md5sum's DOALL has no cross-iteration dependence: the frontier cause
     must be exactly zero however many workers run. *)
 let test_frontier_zero_doall () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   let w = Option.get (Registry.find "md5sum") in
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
   let doall =
@@ -137,7 +133,6 @@ let test_frontier_zero_doall () =
 (* ---- codegen engine carries attribution through the same hooks ---- *)
 
 let test_codegen_attribution () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   let w = Option.get (Registry.find "md5sum") in
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
   match P.executable_plans c ~threads:2 with
@@ -152,7 +147,6 @@ let test_codegen_attribution () =
 (* ---- attrib:false produces no summary and no histogram traffic ---- *)
 
 let test_attrib_off () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   let w = Option.get (Registry.find "md5sum") in
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
   match P.executable_plans c ~threads:2 with
@@ -177,7 +171,6 @@ let with_calib_dir f =
     (fun () -> f dir)
 
 let measured_summary () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   let w = Option.get (Registry.find "md5sum") in
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
   let plan = List.hd (P.executable_plans c ~threads:2) in
@@ -197,6 +190,23 @@ let test_calib_round_trip () =
       in
       check Alcotest.bool "ns_per_cycle is positive and finite" true
         (Float.is_finite p.Calib.p_ns_per_cycle && p.Calib.p_ns_per_cycle > 0.);
+      (* without measured non-builtin compute there is no ns/cycle to
+         express builtin costs in: no profile, not a made-up one *)
+      let builtin_cycles =
+        List.fold_left (fun acc b -> acc +. b.Attrib.b_cost_cycles) 0. s.Attrib.a_builtins
+      in
+      List.iter
+        (fun (what, s') ->
+          match
+            Calib.of_summary ~workload:"md5sum" ~engine:"real" ~predicted:1. ~measured:1. s'
+          with
+          | Ok _ -> Alcotest.failf "of_summary accepted a run with %s" what
+          | Error _ -> ())
+        [
+          ("no charged cycles", { s with Attrib.a_charged_cycles = 0. });
+          ("no compute wall", { s with Attrib.a_compute_ns = 0. });
+          ("only builtin cycles", { s with Attrib.a_charged_cycles = builtin_cycles });
+        ];
       List.iter
         (fun (b : Calib.builtin_calib) ->
           if not (b.Calib.cb_scale >= 0.05 && b.Calib.cb_scale <= 20.) then
@@ -241,8 +251,6 @@ let test_calib_apply_clear () =
         | Error e -> Alcotest.failf "of_summary: %s" e
       in
       Calib.apply p;
-      check (Alcotest.float 1e-9) "apply installs ns_per_cycle" p.Calib.p_ns_per_cycle
-        (Costmodel.exec_ns_per_cycle ());
       List.iter
         (fun (b : Calib.builtin_calib) ->
           check (Alcotest.float 1e-9)

@@ -18,7 +18,6 @@ module W = Commset_workloads.Workload
 module Registry = Commset_workloads.Registry
 module T = Commset_transforms
 module R = Commset_runtime
-module Costmodel = Commset_runtime.Costmodel
 module Exec = Commset_exec.Exec
 module Pdg = Commset_pdg.Pdg
 module Loops = Commset_analysis.Loops
@@ -40,7 +39,6 @@ let test_engine_names () =
 (* ---- differential suite: explicit codegen engine, no fallback ---- *)
 
 let codegen_all_plans (w : W.t) () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
   List.iter
     (fun jobs ->
@@ -76,7 +74,6 @@ let differential_cases =
 (* ---- codegen vs interpreted real engine on one compilation ---- *)
 
 let test_codegen_vs_real () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   let w = Option.get (Registry.find "md5sum") in
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
   match P.executable_plans c ~threads:2 with
@@ -109,7 +106,6 @@ let test_codegen_vs_real () =
    first on outputs. (The first run may itself hit the on-disk cache
    from an earlier test binary run — only the warm run is asserted.) *)
 let test_cache_warm_agrees () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   let w = Option.get (Registry.find "geti") in
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
   match P.executable_plans c ~threads:2 with
@@ -358,7 +354,6 @@ let fold_stream inert nodes =
    for every executable plan, the same holds on the run's folded target
    against the reference stream with the plan's inert nodes folded. *)
 let node_transitions_agree (w : W.t) () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
   let interp, compiled, outs = worker_streams w c (rtarget c) in
   let reference = reference_iterations c c.P.target.P.pdg in
@@ -518,7 +513,6 @@ void main() {
 let prop_random_bodies_agree =
   QCheck.Test.make ~name:"codegen: random loop bodies compile and agree"
     ~count:12 arb_rexpr (fun e ->
-      Costmodel.set_exec_ns_per_cycle 0.0;
       let c = P.compile ~name:"cg-prop" (program_of_rexpr e) in
       match P.executable_plans c ~threads:2 with
       | [] -> QCheck.Test.fail_report "no executable plan"

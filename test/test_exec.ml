@@ -12,7 +12,6 @@ module P = Commset_pipeline.Pipeline
 module W = Commset_workloads.Workload
 module Registry = Commset_workloads.Registry
 module T = Commset_transforms
-module Costmodel = Commset_runtime.Costmodel
 module Diag = Commset_support.Diag
 module Spsc = Commset_exec.Spsc
 module Equiv = Commset_exec.Equiv
@@ -196,7 +195,6 @@ void main() {
 |}
 
 let test_refused_loop_shape () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   let c = P.compile ~name:"live-out" live_out_loop in
   match P.executable_plans c ~threads:2 with
   | [] -> Alcotest.fail "no executable plan at 2 jobs"
@@ -217,7 +215,6 @@ let test_refused_loop_shape () =
 (* DOALL and a pipeline shape both run for the paper's flagship
    workload, so the acceptance criterion is pinned down by a test *)
 let test_md5sum_both_shapes () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   let w = Option.get (Registry.find "md5sum") in
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
   let plans = P.executable_plans c ~threads:2 in

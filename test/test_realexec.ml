@@ -15,7 +15,6 @@ module P = Commset_pipeline.Pipeline
 module W = Commset_workloads.Workload
 module Registry = Commset_workloads.Registry
 module T = Commset_transforms
-module Costmodel = Commset_runtime.Costmodel
 module Exec = Commset_exec.Exec
 module Realexec = Commset_exec.Realexec
 module R = Commset_runtime
@@ -264,7 +263,6 @@ let test_ordering_pinned () =
    on eclat's lock-heaviest plan, under 1% of the instructions its
    workers retire. *)
 let test_eclat_transitions () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   let w = Option.get (Registry.find "eclat") in
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
   let plan =
@@ -323,7 +321,6 @@ let vec_expected = "begin" :: List.init 8 (fun i -> "s" ^ string_of_int i) @ [ "
 
 (* Runs lease parked domains instead of spawning their own. *)
 let test_warm_domains_reused () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   let spawned = Metrics.counter "exec.domains_spawned" in
   let s0 = Metrics.value spawned in
   for k = 1 to 10 do
@@ -336,7 +333,6 @@ let test_warm_domains_reused () =
    the next run, with its coordinator on a domain that was one of the
    failed run's workers, produces the exact output. *)
 let test_warm_domains_after_error () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   (match vec_run ~entries:7 ~jobs:2 () with
   | _ -> Alcotest.fail "a run whose iteration raises returned"
   | exception Commset_support.Diag.Error d ->
@@ -350,7 +346,6 @@ let test_warm_domains_after_error () =
 (* Two runs of one compilation at once, from two domains, both pass
    Equiv. *)
 let test_concurrent_runs () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   let w = Option.get (Registry.find "md5sum") in
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
   let plan = List.hd (P.executable_plans c ~threads:2) in
@@ -366,7 +361,6 @@ let test_concurrent_runs () =
 (* ---- differential suite: explicit real engine, no fallback ---- *)
 
 let real_all_plans (w : W.t) () =
-  Costmodel.set_exec_ns_per_cycle 0.0;
   let c = P.compile ~name:w.W.wname ~setup:w.W.setup w.W.source in
   List.iter
     (fun jobs ->
